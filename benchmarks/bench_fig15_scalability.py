@@ -46,7 +46,7 @@ def test_fig15_scalability(benchmark, bench_preset, bench_seed):
     # needs enough rows per PE for rebalancing to have moves available:
     # Cora/Citeseer at 1024 PEs have ~3 rows per PE, where single heavy
     # rows exceed the ideal share and *no* row migration can help (a
-    # granularity limit the model makes explicit; see EXPERIMENTS.md).
+    # granularity limit the model makes explicit).
     from repro.datasets import load_dataset
 
     for name in datasets:

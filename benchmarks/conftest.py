@@ -8,7 +8,8 @@ qualitative claim about it.
 
 Dataset sizing: ``REPRO_BENCH_PRESET`` selects ``scaled`` (default) or
 ``full``; ``scaled`` keeps every dataset laptop-tractable while
-preserving the skew profiles that drive the results (see DESIGN.md).
+preserving the skew profiles that drive the results (see
+docs/architecture.md, "Offline substitutions and presets").
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ BENCH_PRESET = os.environ.get("REPRO_BENCH_PRESET", "scaled")
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "7"))
 # The paper pins 1024 PEs for the cross-platform table and sweeps
 # 512-1024 for scalability but never states the Fig. 14 count; 256 keeps
-# rows/PE in the regime its utilization figures imply (see DESIGN.md).
+# rows/PE in the regime its utilization figures imply (see
+# docs/architecture.md, "Offline substitutions and presets").
 BENCH_PES = int(os.environ.get("REPRO_BENCH_PES", "256"))
 
 

@@ -2,8 +2,10 @@
 
 Each public function returns plain data (lists of dict rows) plus an
 ASCII rendering, so the benchmark suite can both print the artifact and
-assert the paper's qualitative claims about it. See DESIGN.md for the
-experiment-to-module index.
+assert the paper's qualitative claims about it. See
+docs/architecture.md ("Offline substitutions and presets", then
+"Experiments and regression safety") for the experiment-to-module
+index.
 """
 
 from repro.analysis.report import ascii_table, format_quantity
@@ -27,7 +29,6 @@ from repro.analysis.shardscale import (
     compare_shard_scaling,
     compare_shard_topology,
 )
-from repro.analysis.affinity import compare_cache_affinity
 from repro.analysis.mixedload import compare_mixed_load
 from repro.analysis.tracescenarios import (
     TRACE_SCENARIOS,
@@ -63,7 +64,6 @@ __all__ = [
     "compare_parallel_scaling",
     "host_cpu_count",
     "compare_rebalance",
-    "compare_cache_affinity",
     "compare_mixed_load",
     "TRACE_SCENARIOS",
     "run_trace_scenario",

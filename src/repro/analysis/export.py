@@ -1,7 +1,8 @@
 """CSV / JSON export of experiment rows.
 
 Every harness function returns rows as a list of flat dicts; these
-helpers persist them so EXPERIMENTS.md can reference stable artifacts.
+helpers persist them under ``results/`` so the README's results table
+can reference stable artifacts.
 """
 
 from __future__ import annotations

@@ -4,12 +4,10 @@ Each scenario is a fully seeded ``(requests, serve_kwargs)`` pair small
 enough to replay in seconds yet rich enough that its recorded event
 stream exercises a distinct slice of the stack:
 
-* ``serve``  — streaming batch traffic under an SLO on an
-  affinity-routed partitioned pool: arrivals, batch cuts (size /
-  deadline / timeout), per-worker batch spans, per-shard cache
-  hit/miss/store, ``cache.route``/``cache.replicate`` placement
-  events, per-worker hit-rate counters and per-round Eq. 5 tuner
-  events;
+* ``serve``  — streaming batch traffic under an SLO on a 2-instance
+  pool sharing one autotune cache: arrivals, batch cuts (size /
+  deadline / timeout), per-worker batch spans, cache hit/miss/store
+  and per-round Eq. 5 tuner events;
 * ``shard``  — oversized jobs on a 4-instance pool: gang scheduling,
   an EASY backfill past a blocked queue head, cluster plan /
   rebalancing / per-layer chip-utilization counters;
@@ -89,7 +87,6 @@ def trace_scenario(name, *, seed=None):
         )
         return requests, {
             "n_workers": 2, "cache": True, "max_batch": 4,
-            "cache_mode": "affinity", "replicate_threshold": 2.0,
         }
     if name == "shard":
         config = ArchConfig(n_pes=16, hop=1, remote_switching=True)

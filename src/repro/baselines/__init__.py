@@ -2,7 +2,8 @@
 
 The paper compares its accelerator against PyTorch on a Xeon E5-2698V4,
 PyTorch+cuSPARSE on a Tesla P100, an EIE-like reference design, and the
-no-rebalancing baseline. Offline substitutions (documented in DESIGN.md):
+no-rebalancing baseline. Offline substitutions (documented in
+docs/architecture.md, "Offline substitutions and presets"):
 
 * CPU — a calibrated analytic model (default) plus an optional
   *measured* mode that times scipy SPMM on the host;

@@ -20,9 +20,6 @@ Usage::
     python -m repro shard-topology [--chips 4] [--aggregate-bandwidth 64]
     python -m repro parallel-bench [--worker-counts 1,2,4]
     python -m repro mixed-bench [--rates 600,900,1800] [--requests 120]
-    python -m repro affinity-bench [--rates 2000,4000,8000] [--workers 4]
-    python -m repro serve-bench --arrival-rate 400 --cache-mode affinity \
-        --repeat-alpha 1.2
     python -m repro trace [--scenario mixed] [--trace-dir results]
     python -m repro trace --scenario mixed --sim-workers 4
     python -m repro summary           # dataset inventory
@@ -124,17 +121,6 @@ def build_parser():
                             "(repro.parallel; results stay bit-identical "
                             "to the sequential default of 1 — distinct "
                             "from --workers, the simulated pool size)")
-    serve.add_argument("--cache-mode", default="shared",
-                       choices=["shared", "partitioned", "affinity"],
-                       help="cache organization of the cached run: one "
-                            "shared AutotuneCache (default), per-instance "
-                            "shards with cache-blind dispatch, or shards "
-                            "with cache-affinity routing + demand-driven "
-                            "replication")
-    serve.add_argument("--repeat-alpha", type=float, default=None,
-                       help="override the mix's Zipf popularity exponent "
-                            "(higher = hotter head = more fingerprint "
-                            "reuse; default: the mix's zipf_skew of 1.1)")
     serve.add_argument("--out", default=None, metavar="DIR",
                        help="also write rows as CSV under DIR")
 
@@ -297,45 +283,6 @@ def build_parser():
     mixed.add_argument("--out", default=None, metavar="DIR",
                        help="also write rows as CSV under DIR")
 
-    affinity = sub.add_parser(
-        "affinity-bench",
-        help=("cache-affinity routing sweep: identical Zipf "
-              "repeat-heavy streaming traces served on a partitioned "
-              "pool with cache-blind vs warm-aware dispatch, per "
-              "arrival rate"),
-    )
-    affinity.add_argument("--requests", type=int, default=96,
-                          help="requests per trace (default: 96)")
-    affinity.add_argument("--rates", default="2000,4000,8000",
-                          help="comma-separated arrival rates in req/s "
-                               "(default: 2000,4000,8000)")
-    affinity.add_argument("--workers", type=int, default=4,
-                          help="simulated accelerator instances "
-                               "(default: 4)")
-    affinity.add_argument("--families", type=int, default=12,
-                          help="graph families in the Zipf pool "
-                               "(default: 12)")
-    affinity.add_argument("--repeat-alpha", type=float, default=1.2,
-                          help="Zipf popularity exponent of the family "
-                               "pool (default: 1.2)")
-    affinity.add_argument("--nodes", type=int, default=4096,
-                          help="nodes per graph (default: 4096)")
-    affinity.add_argument("--pes", type=int, default=96,
-                          help="PE count of the serving config "
-                               "(default: 96)")
-    affinity.add_argument("--cache-entries", type=int, default=None,
-                          help="LRU bound of each per-worker cache "
-                               "shard (default: unbounded)")
-    affinity.add_argument("--replicate-threshold", type=float, default=3.0,
-                          help="windowed demand at which a family's "
-                               "entries replicate (default: 3.0)")
-    affinity.add_argument("--replicate-k", type=int, default=2,
-                          help="shards hot entries replicate to "
-                               "(default: 2)")
-    affinity.add_argument("--seed", type=int, default=7)
-    affinity.add_argument("--out", default=None, metavar="DIR",
-                          help="also write rows as CSV under DIR")
-
     trace = sub.add_parser(
         "trace",
         help=("replay a canned serving scenario under the recording "
@@ -438,8 +385,6 @@ def main(argv=None):
                 arrival=args.arrival or "poisson",
                 max_batch=args.max_batch if args.max_batch is not None else 8,
                 workers=args.sim_workers,
-                cache_mode=args.cache_mode,
-                repeat_alpha=args.repeat_alpha,
             )
             return _emit(args, "serve_latency", rows, text)
         from repro.serve import compare_caching
@@ -452,8 +397,6 @@ def main(argv=None):
             n_workers=args.workers,
             seed=args.seed,
             workers=args.sim_workers,
-            cache_mode=args.cache_mode,
-            repeat_alpha=args.repeat_alpha,
         )
         return _emit(args, "serve_bench", rows, text)
 
@@ -524,26 +467,6 @@ def main(argv=None):
             seed=args.seed,
         )
         return _emit(args, "mixed_load", rows, text)
-
-    if args.command == "affinity-bench":
-        from repro.analysis import compare_cache_affinity
-
-        rows, text = compare_cache_affinity(
-            n_requests=args.requests,
-            rates=tuple(
-                float(x) for x in args.rates.split(",") if x.strip()
-            ),
-            n_workers=args.workers,
-            family_size=args.families,
-            repeat_alpha=args.repeat_alpha,
-            n_nodes=args.nodes,
-            n_pes=args.pes,
-            worker_cache_entries=args.cache_entries,
-            replicate_threshold=args.replicate_threshold,
-            replicate_k=args.replicate_k,
-            seed=args.seed,
-        )
-        return _emit(args, "cache_affinity", rows, text)
 
     if args.command == "trace":
         from repro.analysis.tracescenarios import (

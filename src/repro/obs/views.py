@@ -47,7 +47,6 @@ def service_stats_view(events, *, wall_seconds=0.0):
     ) + len(sharded_seqs)
     hits = sum(1 for e in done if e.args.get("cache_hit"))
     utils = [e.args["utilization"] for e in done]
-    routes = [e for e in events if e.name == "cache.route"]
     return ServiceStats(
         n_requests=len(done) + len(shed),
         n_batches=batches,
@@ -63,11 +62,6 @@ def service_stats_view(events, *, wall_seconds=0.0):
         n_backfilled=sum(1 for e in events if e.name == "backfill"),
         n_preemptions=sum(1 for e in events if e.name == "preempt"),
         n_evictions=sum(1 for e in events if e.name == "cache.evict"),
-        n_routed=len(routes),
-        n_placement_hits=sum(1 for e in routes if e.args.get("warm")),
-        n_replications=sum(
-            1 for e in events if e.name == "cache.replicate"
-        ),
     )
 
 

@@ -6,23 +6,17 @@ time with latency SLOs. This package adds that layer:
 
 * :mod:`repro.serve.request`   — request/result types with arrival
   times, deadlines and a per-request serving timeline;
-* :mod:`repro.serve.scheduler` — FIFO admission queue, the offline
-  config-affinity batch planner, and the event-driven
-  :class:`StreamingScheduler` (deadline-aware batch cutting, EDF
-  dispatch);
+* :mod:`repro.serve.scheduler` — FIFO admission queue and the
+  event-driven :class:`StreamingScheduler` (config-affine batching,
+  deadline-aware batch cutting, EDF dispatch);
 * :mod:`repro.serve.cache`     — the :class:`AutotuneCache`: converged
   Eq. 5 row maps keyed by (workload fingerprint, arch config), with an
   optional LRU size bound and ``.npz`` persistence, so repeat graphs
   skip the auto-tuner warm-up via the frozen fast path of
   :func:`~repro.accel.cyclemodel.simulate_spmm_frozen`;
-* :mod:`repro.serve.demand`    — :class:`DemandHistogram`:
-  exponentially-decayed per-graph-family demand counters on the
-  simulated clock, the signal cache-affinity routing
-  (``InferenceService(cache_mode="affinity")``) uses to replicate hot
-  autotune entries across per-worker cache shards;
 * :mod:`repro.serve.service`   — the :class:`InferenceService`: an
   event-driven simulated-clock loop over a pool of simulated
-  accelerator instances, with latency percentile / SLO-attainment
+  accelerator instances sharing one :class:`AutotuneCache`, with latency percentile / SLO-attainment
   accounting (:class:`LatencyStats`), optional admission control
   (``shed_expired`` rejects requests whose deadline expired, reported
   via ``ServiceStats.shed_rate``), reconfiguration pricing
@@ -58,14 +52,12 @@ from repro.serve.bench import (
     compare_latency,
     default_serving_config,
 )
-from repro.serve.cache import AutotuneCache, CacheEntryInfo, CacheStats
-from repro.serve.demand import DemandHistogram
+from repro.serve.cache import AutotuneCache, CacheStats
 from repro.serve.request import InferenceRequest, InferenceResult
 from repro.serve.scheduler import (
     Batch,
     QueuedRequest,
     RequestQueue,
-    Scheduler,
     StreamingScheduler,
 )
 from repro.serve.service import (
@@ -91,15 +83,12 @@ __all__ = [
     "compare_latency",
     "default_serving_config",
     "AutotuneCache",
-    "CacheEntryInfo",
     "CacheStats",
-    "DemandHistogram",
     "InferenceRequest",
     "InferenceResult",
     "Batch",
     "QueuedRequest",
     "RequestQueue",
-    "Scheduler",
     "StreamingScheduler",
     "InferenceService",
     "LatencyStats",

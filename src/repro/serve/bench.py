@@ -43,7 +43,7 @@ def default_serving_config(n_pes=192):
 
 def compare_caching(*, n_requests=96, n_graphs=4, n_nodes=16384, seed=7,
                     n_workers=2, n_pes=192, configs=None, graph_kwargs=None,
-                    workers=1, cache_mode="shared", repeat_alpha=None):
+                    workers=1):
     """Serve one mix with and without the cache; returns ``(rows, text)``.
 
     ``rows`` has one dict per mode (``no-cache`` / ``cache``) plus the
@@ -53,22 +53,14 @@ def compare_caching(*, n_requests=96, n_graphs=4, n_nodes=16384, seed=7,
     :mod:`repro.parallel` process pool (host execution only — every
     reported cycle, timestamp and verdict is bit-identical to the
     sequential ``workers=1`` oracle; only wall-clock columns shrink).
-    ``cache_mode`` selects the cached run's cache organization
-    (``"shared"``/``"partitioned"``/``"affinity"``; the cold run is
-    always cache-less) and ``repeat_alpha`` overrides the mix's Zipf
-    exponent — together the repeat-heavy partitioned regimes
-    ``repro affinity-bench`` sweeps in full.
     """
     if configs is None:
         configs = (default_serving_config(n_pes),)
     if graph_kwargs is None:
         graph_kwargs = dict(DEFAULT_GRAPH_KWARGS)
-    traffic_kwargs = {}
-    if repeat_alpha is not None:
-        traffic_kwargs["zipf_skew"] = float(repeat_alpha)
     requests = synthetic_traffic(
         n_requests, n_graphs=n_graphs, n_nodes=n_nodes, seed=seed,
-        configs=configs, graph_kwargs=graph_kwargs, **traffic_kwargs,
+        configs=configs, graph_kwargs=graph_kwargs,
     )
     # Materialize the graph pool up front: dataset construction is
     # identical in both modes and must not pollute the comparison.
@@ -79,7 +71,6 @@ def compare_caching(*, n_requests=96, n_graphs=4, n_nodes=16384, seed=7,
     for mode, cache in (("no-cache", None), ("cache", True)):
         outcomes[mode] = serve_requests(
             requests, n_workers=n_workers, cache=cache, workers=workers,
-            cache_mode=cache_mode if cache else "shared",
         )
 
     cold, warm = outcomes["no-cache"], outcomes["cache"]
@@ -146,7 +137,7 @@ def compare_latency(*, n_requests=96, n_graphs=4, n_nodes=4096, seed=7,
                     n_workers=2, n_pes=96, arrival_rate=400.0, slo_ms=None,
                     arrival="poisson", burst_size=8, max_batch=8,
                     max_wait=None, configs=None, graph_kwargs=None,
-                    workers=1, cache_mode="shared", repeat_alpha=None):
+                    workers=1):
     """Streaming latency/SLO comparison; returns ``(rows, text)``.
 
     Serves one fixed-seed streaming trace (arrival process + optional
@@ -159,9 +150,7 @@ def compare_latency(*, n_requests=96, n_graphs=4, n_nodes=4096, seed=7,
     simulated milliseconds and deterministic under the seed.
     ``workers`` parallelizes the host-side simulations as in
     :func:`compare_caching` — bit-identical results, smaller wall-clock
-    columns. ``cache_mode``/``repeat_alpha`` behave as in
-    :func:`compare_caching` (cached run's cache organization; Zipf
-    exponent override on the mix).
+    columns.
     """
     if configs is None:
         configs = (default_serving_config(n_pes),)
@@ -171,7 +160,7 @@ def compare_latency(*, n_requests=96, n_graphs=4, n_nodes=4096, seed=7,
         n_requests, arrival_rate=arrival_rate, arrival=arrival,
         burst_size=burst_size, slo_ms=slo_ms, n_graphs=n_graphs,
         n_nodes=n_nodes, seed=seed, configs=configs,
-        repeat_alpha=repeat_alpha, graph_kwargs=graph_kwargs,
+        graph_kwargs=graph_kwargs,
     )
     # Materialize the graph pool up front: dataset construction is
     # identical in both modes and must not pollute the comparison.
@@ -183,7 +172,6 @@ def compare_latency(*, n_requests=96, n_graphs=4, n_nodes=4096, seed=7,
         outcomes[mode] = serve_requests(
             requests, n_workers=n_workers, cache=cache,
             max_batch=max_batch, max_wait=max_wait, workers=workers,
-            cache_mode=cache_mode if cache else "shared",
         )
 
     cold, warm = outcomes["no-cache"], outcomes["cache"]

@@ -53,25 +53,6 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-@dataclass(frozen=True)
-class CacheEntryInfo:
-    """One entry of an :meth:`AutotuneCache.snapshot` view."""
-
-    fingerprint: str
-    config: ArchConfig
-    hits: int
-    """Lookup hits this cache served from the entry (its own history —
-    merge and load do not transfer donor hit counts)."""
-    last_used: float
-    """Simulated-clock time of the entry's last store or lookup hit
-    (the cache's :attr:`~AutotuneCache.clock` at that moment)."""
-
-    @property
-    def key(self):
-        """The composite ``(fingerprint, config)`` cache key."""
-        return (self.fingerprint, self.config)
-
-
 class AutotuneCache:
     """Persistent map from (workload fingerprint, config) to tuning state.
 
@@ -98,23 +79,13 @@ class AutotuneCache:
         # Insertion-ordered dict doubling as the LRU list: the front is
         # the least recently used, re-insertion moves a key to the back.
         self._entries = {}
-        # Per-entry [hits, last_used] metadata, keyed like _entries.
-        self._meta = {}
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self.clock = 0.0
-        """Simulated-clock anchor stamped onto entry metadata
-        (``last_used``); the service advances it alongside its own
-        clock. Standalone users may leave it at 0.0."""
         self.tracer = NULL_TRACER
         """Event sink for cache traffic (:mod:`repro.obs`); the service
         points it at its own tracer. Timestamps use the tracer's
         current simulated anchor."""
-        self.lane = "cache"
-        """Trace lane cache events are emitted on; the affinity service
-        renames per-worker shards (``cache/w0`` ...) so their traffic
-        is distinguishable in the stream."""
 
     @staticmethod
     def _key_args(fingerprint, config):
@@ -157,13 +128,10 @@ class AutotuneCache:
         else:
             self._hits += 1
             self._entries[key] = self._entries.pop(key)
-            meta = self._meta[key]
-            meta[0] += 1
-            meta[1] = self.clock
         if self.tracer.enabled:
             self.tracer.instant(
                 "cache.hit" if entry is not None else "cache.miss",
-                lane=self.lane, args=self._key_args(fingerprint, config),
+                lane="cache", args=self._key_args(fingerprint, config),
             )
         return entry
 
@@ -183,7 +151,7 @@ class AutotuneCache:
         if trace and self.tracer.enabled:
             args = self._key_args(fingerprint, config)
             args["found"] = entry is not None
-            self.tracer.instant("cache.peek", lane=self.lane, args=args)
+            self.tracer.instant("cache.peek", lane="cache", args=args)
         return entry
 
     def store(self, fingerprint, config, entry):
@@ -204,25 +172,19 @@ class AutotuneCache:
         key = self.key(fingerprint, config)
         self._entries.pop(key, None)
         self._entries[key] = entry
-        # Re-storing a key keeps its hit count (same logical entry);
-        # a fresh key starts cold. Either way the store refreshes the
-        # last-used stamp alongside the LRU recency.
-        meta = self._meta.setdefault(key, [0, self.clock])
-        meta[1] = self.clock
         if self.tracer.enabled:
             self.tracer.instant(
-                "cache.store", lane=self.lane,
+                "cache.store", lane="cache",
                 args=self._key_args(fingerprint, config),
             )
         if self.max_entries is not None:
             while len(self._entries) > self.max_entries:
                 oldest = next(iter(self._entries))
                 del self._entries[oldest]
-                self._meta.pop(oldest, None)
                 self._evictions += 1
                 if self.tracer.enabled:
                     self.tracer.instant(
-                        "cache.evict", lane=self.lane,
+                        "cache.evict", lane="cache",
                         args=self._key_args(oldest[0], oldest[1]),
                     )
 
@@ -231,13 +193,9 @@ class AutotuneCache:
 
         Walks ``other`` in its LRU order (least recently used first).
         New keys are :meth:`store`-d (becoming the most recently used
-        here, carrying the donor's last-used stamp); a key already
-        present is left exactly where it sits in the receiver's LRU
-        order unless the donor's copy is strictly *fresher* (larger
-        ``last_used``), in which case it is re-stored and promoted —
-        replication must not make hot local entries look cold.
-        Counters are not transferred — hits/misses (and per-entry hit
-        counts) describe *this* cache's lookup history, not the
+        here); a key already present is left exactly where it sits in
+        the receiver's LRU order. Counters are not transferred —
+        hits/misses describe *this* cache's lookup history, not the
         donor's. Returns the number of donor entries folded in
         (stored or already present).
 
@@ -252,28 +210,18 @@ class AutotuneCache:
             )
         merged = 0
         for key, entry in list(other._entries.items()):
-            fingerprint, config = key
-            incoming = other._meta.get(key, [0, 0.0])[1]
-            existing = self._meta.get(key)
-            if key in self._entries and incoming <= existing[1]:
-                merged += 1
-                continue
-            hits = existing[0] if existing is not None else 0
-            self.store(fingerprint, config, entry)
-            meta = self._meta[key]
-            meta[0] = hits
-            meta[1] = incoming
+            if key not in self._entries:
+                self.store(key[0], key[1], entry)
             merged += 1
         if self.tracer.enabled:
             self.tracer.instant(
-                "cache.merge", lane=self.lane, args={"entries": merged},
+                "cache.merge", lane="cache", args={"entries": merged},
             )
         return merged
 
     def clear(self):
         """Drop every entry and reset the counters."""
         self._entries.clear()
-        self._meta.clear()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -284,23 +232,6 @@ class AutotuneCache:
         return CacheStats(
             hits=self._hits, misses=self._misses,
             entries=len(self._entries), evictions=self._evictions,
-        )
-
-    def snapshot(self):
-        """Per-entry metadata view, in LRU order (least recent first).
-
-        Returns a tuple of :class:`CacheEntryInfo` carrying each
-        entry's hit count and last-used simulated timestamp — the
-        recency/frequency signal the affinity bench report and the
-        replication policy read instead of inferring it from position.
-        """
-        return tuple(
-            CacheEntryInfo(
-                fingerprint=fingerprint, config=config,
-                hits=self._meta[(fingerprint, config)][0],
-                last_used=self._meta[(fingerprint, config)][1],
-            )
-            for fingerprint, config in self._entries
         )
 
     # ------------------------------------------------------------------
@@ -346,16 +277,13 @@ class AutotuneCache:
                     })
                     flat += 1
                 stages_meta.append(layer_meta)
-            meta = self._meta.get((fingerprint, config), [0, 0.0])
             index.append({
                 "fingerprint": fingerprint,
                 "config": asdict(config),
                 "layers": stages_meta,
-                "hits": int(meta[0]),
-                "last_used": float(meta[1]),
             })
         arrays["index"] = np.frombuffer(
-            json.dumps({"version": 3, "entries": index}).encode(),
+            json.dumps({"version": 2, "entries": index}).encode(),
             dtype=np.uint8,
         )
         # Atomic publish: numpy would append ".npz" to a suffix-less
@@ -377,11 +305,10 @@ class AutotuneCache:
         archives is the saved process's LRU order — recency carries
         across processes. ``max_entries`` applies the LRU bound to the
         restored cache; archives holding more entries than the bound
-        keep the ``max_entries`` *most recently used* ones. Version-3
-        archives also restore per-entry hit counts and last-used
-        stamps; version-1 (sorted by key, no recency) and version-2
-        archives still load, with metadata defaulting to cold
-        (0 hits, last used at 0.0).
+        keep the ``max_entries`` *most recently used* ones. Version-1
+        archives (sorted by key, no recency) still load, and so do
+        version-3 archives, whose per-entry hit counts and last-used
+        stamps are ignored.
         """
         cache = cls(max_entries=max_entries)
         with np.load(path) as archive:
@@ -413,10 +340,4 @@ class AutotuneCache:
                     meta["fingerprint"], config,
                     CachedTuning(layers=tuple(layers)),
                 )
-                key = cache.key(meta["fingerprint"], config)
-                if key in cache._entries:
-                    cache._meta[key] = [
-                        int(meta.get("hits", 0)),
-                        float(meta.get("last_used", 0.0)),
-                    ]
         return cache

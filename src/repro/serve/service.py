@@ -68,7 +68,6 @@ from repro.cluster.topology import Topology, make_topology, subtopology
 from repro.errors import CeilingError, ConfigError
 from repro.obs.tracer import NULL_TRACER, config_label
 from repro.serve.cache import AutotuneCache
-from repro.serve.demand import DemandHistogram
 from repro.serve.request import InferenceResult
 from repro.serve.scheduler import (
     RequestQueue,
@@ -76,11 +75,7 @@ from repro.serve.scheduler import (
     _check_max_batch,
     _check_max_wait,
 )
-from repro.utils.validation import (
-    check_non_negative_int,
-    check_positive_finite,
-    check_positive_int,
-)
+from repro.utils.validation import check_non_negative_int, check_positive_int
 
 
 @dataclass
@@ -105,10 +100,6 @@ class WorkerState:
     reconfigs: int = 0
     """How many times the instance switched configurations between
     batches (each charged ``reconfig_cycles`` when that is non-zero)."""
-    cache: object = None
-    """This instance's own :class:`AutotuneCache` shard under
-    ``cache_mode`` ``"partitioned"``/``"affinity"``; None in the
-    historical shared-cache mode."""
 
 
 class _ScreenCache:
@@ -142,30 +133,6 @@ class _ScreenCache:
 
     def store(self, fingerprint, config, entry):
         self._own.store(fingerprint, config, entry)
-
-
-class _UnionPeek:
-    """Read-only union view over the per-worker cache shards.
-
-    :func:`repro.parallel.presimulate` only ever calls
-    ``peek(..., trace=False)`` to decide which cold simulations to farm
-    out. Under a partitioned pool "cold" means cold on *every* shard: a
-    key warm anywhere is skipped — if the batch routes to that warm
-    worker the replay peeks it warm, and if it routes elsewhere the
-    replay's no-presim fallback runs it inline against that worker's
-    shard, which is exactly the sequential protocol. No stats, no LRU
-    promotion, no stores.
-    """
-
-    def __init__(self, caches):
-        self._caches = caches
-
-    def peek(self, fingerprint, config, *, trace=False):
-        for cache in self._caches:
-            entry = cache.peek(fingerprint, config, trace=False)
-            if entry is not None:
-                return entry
-        return None
 
 
 @dataclass
@@ -307,25 +274,6 @@ class ServiceStats:
     n_evictions: int = 0
     """Autotune-cache entries the LRU bound evicted during this drain
     (0 without a bounded cache)."""
-    n_routed: int = 0
-    """Placement decisions the cache-affinity router made
-    (``cache_mode="affinity"`` only; batch dispatches plus sharded gang
-    placements)."""
-    n_placement_hits: int = 0
-    """Routed placements that landed on an instance already warm for
-    the work (non-zero warm-entry coverage, or a sharded job re-landing
-    on its remembered gang)."""
-    n_replications: int = 0
-    """Hot-entry replication pushes: one per (family, target instance)
-    merge that actually copied at least one new cache entry."""
-
-    @property
-    def placement_hit_rate(self):
-        """Fraction of routed placements that were warm (None when the
-        affinity router never ran — shared/partitioned modes)."""
-        if self.n_routed == 0:
-            return None
-        return self.n_placement_hits / self.n_routed
 
     @property
     def shed_rate(self):
@@ -478,52 +426,6 @@ class InferenceService:
         explicit ``priority`` derives class 0 (deadline-critical) under
         ``coschedule``. None means only explicit priorities can reach
         class 0.
-    cache_mode:
-        How the pool's autotune cache is organized.
-
-        * ``"shared"`` (default) — one cache shared by every instance,
-          cache-blind first-free placement: the historical service,
-          bit-identical to before this knob existed.
-        * ``"partitioned"`` — each instance owns a private
-          :class:`AutotuneCache` shard (bounded by
-          ``worker_cache_entries``) but placement stays cache-blind
-          first-free: the realistic-deployment baseline the affinity
-          bench compares against.
-        * ``"affinity"`` — per-instance shards plus cache-aware
-          placement: each sealed batch is scored against every
-          candidate instance by *warm-entry coverage* (how many of the
-          batch's (fingerprint, config) keys the instance's shard
-          already holds), and a warm instance that frees within the
-          batch's deadline slack is preferred over a cold first-free
-          one. EDF dispatch order is untouched — affinity only picks
-          *which* feasible instance serves the head batch, and falls
-          back to first-free whenever waiting for a warm instance
-          would risk the SLO (or, for SLO-less traffic, would exceed
-          the batch's own estimated service time). Sharded jobs prefer
-          re-landing on the gang that last served their graph. A
-          per-family :class:`~repro.serve.demand.DemandHistogram`
-          (decayed on the simulated clock) drives proactive
-          replication of hot entries to the least-loaded shards.
-
-        ``"partitioned"``/``"affinity"`` require ``cache=True`` (the
-        service builds the per-instance shards itself).
-    worker_cache_entries:
-        LRU bound of each per-instance cache shard under
-        ``"partitioned"``/``"affinity"`` (None = unbounded). The
-        shared-mode cache is bounded via the ``cache`` object itself.
-    replicate_threshold:
-        Demand level (decayed requests within roughly one
-        ``demand_half_life`` window) at which a graph family counts as
-        *hot* and its warm cache entries are pushed to the
-        ``replicate_k`` least-loaded instances via
-        :meth:`AutotuneCache.merge`. None disables replication.
-        Affinity mode only.
-    replicate_k:
-        How many least-loaded instances (earliest ``free_at``, index
-        tie-break) receive each hot family's entries.
-    demand_half_life:
-        Half-life (simulated seconds) of the demand histogram's
-        exponential decay.
     tracer:
         Optional :class:`~repro.obs.tracer.RecordingTracer` collecting
         the structured event trace of every drain (request span trees,
@@ -566,9 +468,7 @@ class InferenceService:
                  max_wait=None, shed_expired=False, reconfig_cycles=0,
                  chip_capacity=None, cluster_options=None,
                  worker_configs=None, workers=1, coschedule=False,
-                 critical_slo_ms=None, cache_mode="shared",
-                 worker_cache_entries=None, replicate_threshold=None,
-                 replicate_k=2, demand_half_life=0.05, tracer=None):
+                 critical_slo_ms=None, tracer=None):
         check_positive_int(n_workers, "n_workers")
         self.sim_workers = check_positive_int(workers, "workers")
         self.tracer = NULL_TRACER if tracer is None else tracer
@@ -577,55 +477,16 @@ class InferenceService:
         tree of every request plus scheduler/cluster/cache events on
         the simulated clock; the default :data:`NULL_TRACER` costs one
         attribute check per hook."""
-        if cache_mode not in ("shared", "partitioned", "affinity"):
+        if cache is True:
+            cache = AutotuneCache()
+        if cache is not None and not isinstance(cache, AutotuneCache):
             raise ConfigError(
-                "cache_mode must be 'shared', 'partitioned' or "
-                f"'affinity', got {cache_mode!r}"
+                f"cache must be AutotuneCache, True or None, "
+                f"got {type(cache).__name__}"
             )
-        self.cache_mode = cache_mode
-        if worker_cache_entries is not None:
-            worker_cache_entries = check_positive_int(
-                worker_cache_entries, "worker_cache_entries"
-            )
-        self.worker_cache_entries = worker_cache_entries
-        if replicate_threshold is not None:
-            try:
-                replicate_threshold = float(replicate_threshold)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    "replicate_threshold must be a number or None, got "
-                    f"{type(replicate_threshold).__name__}"
-                )
-            if not math.isfinite(replicate_threshold) \
-                    or replicate_threshold <= 0.0:
-                raise ConfigError(
-                    "replicate_threshold must be finite and > 0, got "
-                    f"{replicate_threshold}"
-                )
-        self.replicate_threshold = replicate_threshold
-        self.replicate_k = check_positive_int(replicate_k, "replicate_k")
-        self.demand_half_life = check_positive_finite(
-            demand_half_life, "demand_half_life"
-        )
-        if cache_mode != "shared":
-            if cache is not True:
-                raise ConfigError(
-                    f"cache_mode={cache_mode!r} builds one cache shard "
-                    "per instance itself; pass cache=True (a prebuilt "
-                    "or disabled cache cannot be partitioned)"
-                )
-            self.cache = None
-        else:
-            if cache is True:
-                cache = AutotuneCache()
-            if cache is not None and not isinstance(cache, AutotuneCache):
-                raise ConfigError(
-                    f"cache must be AutotuneCache, True or None, "
-                    f"got {type(cache).__name__}"
-                )
-            self.cache = cache
-            if cache is not None:
-                cache.tracer = self.tracer
+        self.cache = cache
+        if cache is not None:
+            cache.tracer = self.tracer
         self.queue = RequestQueue()
         self.max_batch = _check_max_batch(max_batch)
         self.max_wait = _check_max_wait(max_wait)
@@ -698,12 +559,6 @@ class InferenceService:
                 "per gang); a prebuilt Topology cannot be re-sized"
             )
         self.workers = [WorkerState(index=i) for i in range(n_workers)]
-        if cache_mode != "shared":
-            for worker in self.workers:
-                shard = AutotuneCache(max_entries=worker_cache_entries)
-                shard.tracer = self.tracer
-                shard.lane = f"cache/w{worker.index}"
-                worker.cache = shard
         self._n_batches = 0
         self._presim = {}
         self._pool_fabric_cache = None
@@ -712,18 +567,6 @@ class InferenceService:
         self._drain_preemptions = 0
         self._drain_backfills = 0
         self._last_claim = None
-        self._demand = DemandHistogram(half_life=self.demand_half_life)
-        self._gang_affinity = {}
-        """family -> member indices of the gang that last served it
-        (sharded re-landing; persists across drains like the caches)."""
-        self._family_keys = {}
-        """family -> ordered set (dict) of (fingerprint, config) cache
-        keys observed for it — what replication copies around."""
-        self._fp_memo = {}
-        self._family_memo = {}
-        self._drain_routes = 0
-        self._drain_route_hits = 0
-        self._drain_replications = 0
 
     def submit(self, request):
         """Queue one :class:`~repro.serve.request.InferenceRequest`.
@@ -788,17 +631,8 @@ class InferenceService:
                 for item in queued
                 if not self._needs_sharding(item.request)
             ]
-            # Partitioned/affinity pools presimulate against a read-only
-            # union of the worker shards: a key warm on *any* shard is
-            # skipped (its routed worker either has it — replay peeks it
-            # warm — or doesn't, and replay falls back to the inline
-            # sequential run, which is the bit-identity path anyway).
-            presim_cache = (
-                self.cache if self.cache_mode == "shared"
-                else _UnionPeek([w.cache for w in self.workers])
-            )
             self._presim = presimulate(
-                accels, cache=presim_cache, workers=self.sim_workers,
+                accels, cache=self.cache, workers=self.sim_workers,
                 tracer=tr,
             )
         # Without an explicit batch cap, bound batches so one giant
@@ -824,19 +658,6 @@ class InferenceService:
         self._drain_preemptions = 0
         self._drain_backfills = 0
         self._last_claim = None
-        self._drain_routes = 0
-        self._drain_route_hits = 0
-        self._drain_replications = 0
-        # The memos key by id(dataset); ids can be recycled across
-        # drains, so they never outlive one. The demand histogram is
-        # rebuilt too: each drain restarts the simulated clock at zero,
-        # and a decayed counter anchored in a previous epoch would read
-        # as infinitely stale. Caches and gang affinity persist — that
-        # is the warm service.
-        self._fp_memo = {}
-        self._family_memo = {}
-        if self.cache_mode == "affinity":
-            self._demand = DemandHistogram(half_life=self.demand_half_life)
         last_snapshot = None
         started = time.perf_counter()
         while (i < n or stream.pending or stream.ready or sharded
@@ -859,9 +680,6 @@ class InferenceService:
                         args["class"] = self._class_of(item.request)
                     tr.instant("request.arrival", ts=item.arrival_time,
                                args=args)
-                if self.cache_mode == "affinity":
-                    self._demand.record(self._family_of(item.request),
-                                        item.arrival_time)
                 if needs_shards:
                     sharded.append(item)
                 else:
@@ -985,12 +803,7 @@ class InferenceService:
             while stream.ready:
                 items = stream.peek_ready()
                 needed = self._batch_nodes(items)
-                if self.cache_mode == "affinity":
-                    worker = self._route_worker(items, clock, needed,
-                                                claimed, stream)
-                else:
-                    worker = self._free_worker(clock, needed,
-                                               claimed=claimed)
+                worker = self._free_worker(clock, needed, claimed=claimed)
                 if worker is None:
                     if self.coschedule and self._active:
                         self._maybe_preempt(stream.peek_ready(), needed,
@@ -1005,9 +818,6 @@ class InferenceService:
                                   stream, results)
             if self.coschedule:
                 self._process_resumes(clock, results)
-            if (self.cache_mode == "affinity"
-                    and self.replicate_threshold is not None):
-                self._replicate_hot(clock)
             if trace:
                 tr.counter("service.queue", ts=clock, values={
                     "pending": stream.pending,
@@ -1077,11 +887,6 @@ class InferenceService:
             last_snapshot = snapshot
         wall = time.perf_counter() - started
 
-        if trace and self.cache_mode != "shared":
-            tr.counter("cache.worker_hit_rate", ts=clock, values={
-                f"w{w.index}": w.cache.stats.hit_rate
-                for w in self.workers
-            })
         results.sort(key=lambda pair: pair[0])
         results = tuple(result for _seq, result in results)
         n_batches = self._n_batches - batches_before
@@ -1121,186 +926,9 @@ class InferenceService:
                 return worker
         return None
 
-    def _cache_for(self, worker):
-        """The cache an instance simulates against (shared or shard)."""
-        if self.cache_mode == "shared":
-            return self.cache
-        return worker.cache
-
     def _evictions_total(self):
-        """Cumulative evictions across whichever caches exist."""
-        if self.cache_mode == "shared":
-            return self.cache.stats.evictions if self.cache is not None else 0
-        return sum(w.cache.stats.evictions for w in self.workers)
-
-    def _request_key(self, request):
-        """The (fingerprint, config) cache key one request will use.
-
-        Builds (once per dataset/config/a_hops per drain — memoized)
-        the same :class:`GcnAccelerator` the serving path builds, so
-        the key matches what :func:`replay_simulation` looks up
-        exactly.
-        """
-        dataset = request.resolve_graph()
-        memo_key = (id(dataset), request.config, request.a_hops)
-        fp = self._fp_memo.get(memo_key)
-        if fp is None:
-            accel = GcnAccelerator(dataset, request.config,
-                                   a_hops=request.a_hops)
-            fp = accel.fingerprint()
-            self._fp_memo[memo_key] = fp
-        return (fp, request.config)
-
-    def _family_of(self, request):
-        """The request's graph family (dataset fingerprint)."""
-        dataset = request.resolve_graph()
-        family = self._family_memo.get(id(dataset))
-        if family is None:
-            from repro.datasets.registry import dataset_fingerprint
-
-            family = dataset_fingerprint(dataset)
-            self._family_memo[id(dataset)] = family
-        return family
-
-    def _route_worker(self, items, clock, needed, claimed, stream):
-        """Cache-affinity placement for one sealed batch.
-
-        Scores candidate instances by warm-entry coverage of the
-        batch's (fingerprint, config) keys and picks the best-covered
-        *feasible* one — where feasible means free now, or freeing
-        early enough that waiting for it cannot break the batch's
-        earliest deadline (for SLO-less batches the wait is bounded by
-        the scheduler's own EWMA service estimate, so a cold idle pool
-        is never left idle for long). Ties break toward the
-        earliest-free then lowest-indexed instance, and when no warm
-        feasible instance exists the router falls back to the
-        first-free rule — so EDF dispatch order within a priority
-        class is preserved and a batch is never stranded past its
-        deadline waiting for a warm instance.
-        """
-        config = items[0].request.config
-        a_hops = items[0].request.a_hops
-        keys = []
-        seen = set()
-        for item in items:
-            key = self._request_key(item.request)
-            family = self._family_of(item.request)
-            self._family_keys.setdefault(family, {})[key] = None
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-        estimate = stream.estimate(config, a_hops) * len(items)
-        deadline = min(item.deadline for item in items)
-        best = None
-        best_score = None
-        best_coverage = 0
-        for worker in self.workers:
-            if worker.index in claimed:
-                continue
-            if not self._worker_fits(worker.index, needed):
-                continue
-            coverage = sum(
-                1 for fp, cfg in keys
-                if worker.cache.peek(fp, cfg, trace=False) is not None
-            )
-            if coverage == 0:
-                continue
-            if worker.free_at > clock:
-                # Waiting for this warm instance must be provably
-                # safe: with a deadline, start + estimated service
-                # still meets it; without one, the wait is bounded by
-                # one estimated batch service time (0.0 before any
-                # observation — i.e. never wait while cold).
-                start = max(clock, worker.free_at)
-                if (worker.last_key is not None
-                        and worker.last_key != (config, a_hops)
-                        and self.reconfig_cycles):
-                    start += config.cycles_to_seconds(self.reconfig_cycles)
-                if math.isfinite(deadline):
-                    if start + estimate > deadline:
-                        continue
-                elif worker.free_at - clock > estimate:
-                    continue
-            score = (-coverage, worker.free_at, worker.index)
-            if best_score is None or score < best_score:
-                best = worker
-                best_score = score
-                best_coverage = coverage
-        warm = best is not None
-        if best is None:
-            best = self._free_worker(clock, needed, claimed=claimed)
-        if best is None:
-            return None
-        self._drain_routes += 1
-        self._drain_route_hits += int(warm)
-        if self.tracer.enabled:
-            self.tracer.instant("cache.route", ts=clock, args={
-                "seq": items[0].seq,
-                "size": len(items),
-                "keys": len(keys),
-                "worker": best.index,
-                "coverage": best_coverage,
-                "warm": warm,
-                "wait_ms": max(best.free_at - clock, 0.0) * 1e3,
-            })
-        return best
-
-    def _replicate_hot(self, clock):
-        """Copy hot families' warm entries to the least-loaded shards.
-
-        Families whose windowed demand at ``clock`` meets
-        ``replicate_threshold`` get every known (fingerprint, config)
-        entry folded — via :meth:`AutotuneCache.merge`, so an entry
-        already present and no staler is left untouched — into the
-        ``replicate_k`` earliest-free instances' shards. Cold entries
-        age out under each shard's LRU bound; modeled numbers never
-        change (a replica only converts future cold simulations into
-        warm replays).
-        """
-        if self.tracer.enabled:
-            # Merge traces its stores through each shard's tracer;
-            # anchor them here, not at the last-served request's start.
-            self.tracer.set_time(clock)
-        hot = self._demand.hot(clock, threshold=self.replicate_threshold)
-        if not hot:
-            return
-        targets = sorted(
-            self.workers, key=lambda w: (w.free_at, w.index)
-        )[:min(self.replicate_k, len(self.workers))]
-        for family in hot:
-            known = self._family_keys.get(family)
-            if not known:
-                continue
-            donor = AutotuneCache()
-            for fp, cfg in known:
-                for worker in self.workers:
-                    entry = worker.cache.peek(fp, cfg, trace=False)
-                    if entry is not None:
-                        donor.store(fp, cfg, entry)
-                        donor._meta[(fp, cfg)] = list(
-                            worker.cache._meta[(fp, cfg)]
-                        )
-                        break
-            if len(donor) == 0:
-                continue
-            for worker in targets:
-                added = sum(
-                    1 for key in donor._entries
-                    if key not in worker.cache._entries
-                )
-                if added == 0:
-                    continue
-                worker.cache.merge(donor)
-                self._drain_replications += 1
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "cache.replicate", ts=clock,
-                        lane=worker.cache.lane, args={
-                            "family": str(family)[:24],
-                            "worker": worker.index,
-                            "entries": added,
-                        },
-                    )
+        """Cumulative evictions of the shared cache (0 without one)."""
+        return self.cache.stats.evictions if self.cache is not None else 0
 
     def _capacity_of(self, index):
         """Node capacity of one instance (uniform or per-worker)."""
@@ -1482,29 +1110,12 @@ class InferenceService:
         idle. ``clamp=False`` disables the pool-clamp fallback — the
         backfill path uses it so only the queue head may ever
         monopolize the whole pool best-effort.
-
-        Under ``cache_mode="affinity"`` a family served before prefers
-        its previous gang: the remembered members are moved to the
-        front of the candidate order (when free), so a repeat
-        oversized graph re-lands on the instances whose shards hold
-        its sharded entry. Feasibility is unchanged — the reordered
-        scan admits exactly the same gang sizes, and the plain
-        index-ordered scan still runs afterwards as the fallback.
         """
         nodes = request.graph_nodes()
-        orders = [free]
-        if self.cache_mode == "affinity" and free:
-            remembered = self._gang_affinity.get(self._family_of(request))
-            if remembered:
-                preferred = [w for w in free if w.index in remembered]
-                if preferred and preferred != free[:len(preferred)]:
-                    rest = [w for w in free if w.index not in remembered]
-                    orders.insert(0, preferred + rest)
-        for order in orders:
-            for end in range(1, len(order) + 1):
-                gang = self._fit_gang(order[:end], nodes)
-                if gang and self._plan_fits(gang, request):
-                    return gang, True
+        for end in range(1, len(free) + 1):
+            gang = self._fit_gang(free[:end], nodes)
+            if gang and self._plan_fits(gang, request):
+                return gang, True
         if clamp and free and len(free) == len(self.workers):
             return list(free), False
         return None
@@ -1628,7 +1239,7 @@ class InferenceService:
         )
         report = simulate_multichip_gcn(
             request.resolve_graph(), cluster, a_hops=request.a_hops,
-            cache=_ScreenCache(self._cache_for(gang[0])),
+            cache=_ScreenCache(self.cache),
         )
         duration = cluster.chip.cycles_to_seconds(report.total_cycles)
         self._screen_memo[key] = duration
@@ -1883,26 +1494,6 @@ class InferenceService:
         from repro.datasets.registry import dataset_fingerprint
 
         request = item.request
-        if self.cache_mode == "affinity":
-            # Remember (and score) the gang this family lands on:
-            # re-landing on the same members means the primary's shard
-            # already holds the sharded entry.
-            family = self._family_of(request)
-            members = tuple(sorted(w.index for w in workers))
-            remembered = self._gang_affinity.get(family)
-            warm = remembered is not None and members == tuple(
-                sorted(remembered)
-            )
-            self._gang_affinity[family] = tuple(w.index for w in workers)
-            self._drain_routes += 1
-            self._drain_route_hits += int(warm)
-            if self.tracer.enabled:
-                self.tracer.instant("cache.route", ts=clock, args={
-                    "seq": item.seq,
-                    "sharded": True,
-                    "members": list(members),
-                    "warm": warm,
-                })
         ceilings = (
             self._gang_ceilings(workers)
             if constrained and self.chip_capacity is not None else None
@@ -1940,12 +1531,9 @@ class InferenceService:
             # Anchor the cluster/tuner/cache events of this job at its
             # service start on the simulated clock.
             tr.set_time(start)
-        cache = self._cache_for(workers[0])
-        if cache is not None:
-            cache.clock = start
         wall_started = time.perf_counter()
         report = simulate_multichip_gcn(
-            dataset, cluster, a_hops=request.a_hops, cache=cache,
+            dataset, cluster, a_hops=request.a_hops, cache=self.cache,
             tracer=tr if tr.enabled else None,
         )
         elapsed = time.perf_counter() - wall_started
@@ -2134,11 +1722,8 @@ class InferenceService:
         accel = GcnAccelerator(
             dataset, request.config, a_hops=request.a_hops
         )
-        cache = self._cache_for(worker)
-        if cache is not None:
-            cache.clock = start
         report = replay_simulation(
-            accel, cache, self._presim,
+            accel, self.cache, self._presim,
             tracer=tr if tr.enabled else None,
         )
         elapsed = time.perf_counter() - started
@@ -2231,9 +1816,6 @@ class InferenceService:
             n_backfilled=self._drain_backfills,
             n_preemptions=self._drain_preemptions,
             n_evictions=n_evictions,
-            n_routed=self._drain_routes,
-            n_placement_hits=self._drain_route_hits,
-            n_replications=self._drain_replications,
         )
 
 
@@ -2241,9 +1823,7 @@ def serve_requests(requests, *, n_workers=2, cache=True, max_batch=None,
                    max_wait=None, shed_expired=False, reconfig_cycles=0,
                    chip_capacity=None, cluster_options=None,
                    worker_configs=None, workers=1, coschedule=False,
-                   critical_slo_ms=None, cache_mode="shared",
-                   worker_cache_entries=None, replicate_threshold=None,
-                   replicate_k=2, demand_half_life=0.05, tracer=None):
+                   critical_slo_ms=None, tracer=None):
     """One-shot convenience: submit ``requests``, drain, return outcome."""
     service = InferenceService(
         n_workers=n_workers, cache=cache, max_batch=max_batch,
@@ -2251,11 +1831,7 @@ def serve_requests(requests, *, n_workers=2, cache=True, max_batch=None,
         reconfig_cycles=reconfig_cycles, chip_capacity=chip_capacity,
         cluster_options=cluster_options, worker_configs=worker_configs,
         workers=workers, coschedule=coschedule,
-        critical_slo_ms=critical_slo_ms, cache_mode=cache_mode,
-        worker_cache_entries=worker_cache_entries,
-        replicate_threshold=replicate_threshold,
-        replicate_k=replicate_k, demand_half_life=demand_half_life,
-        tracer=tracer,
+        critical_slo_ms=critical_slo_ms, tracer=tracer,
     )
     service.submit_many(requests)
     return service.drain()

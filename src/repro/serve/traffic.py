@@ -164,25 +164,6 @@ def synthetic_traffic(n_requests, *, n_graphs=4, n_nodes=2048, seed=7,
     ]
 
 
-def _check_repeat(repeat_alpha, family_size):
-    """Validate the repeat-heavy traffic knobs (both may be None)."""
-    if repeat_alpha is not None:
-        try:
-            repeat_alpha = float(repeat_alpha)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                "repeat_alpha must be a number, got "
-                f"{type(repeat_alpha).__name__}"
-            )
-        if not (np.isfinite(repeat_alpha) and repeat_alpha >= 0):
-            raise ConfigError(
-                f"repeat_alpha must be finite and >= 0, got {repeat_alpha}"
-            )
-    if family_size is not None:
-        family_size = check_positive_int(family_size, "family_size")
-    return repeat_alpha, family_size
-
-
 def _check_rate(rate):
     try:
         rate = float(rate)
@@ -232,27 +213,16 @@ def bursty_arrivals(n_requests, *, rate, burst_size=8, seed=0, start=0.0):
 def streaming_traffic(n_requests, *, arrival_rate, arrival="poisson",
                       burst_size=8, slo_ms=None, n_graphs=4, n_nodes=2048,
                       seed=7, configs=None, avg_degree=8, zipf_skew=1.1,
-                      repeat_alpha=None, family_size=None,
                       graph_kwargs=None):
     """A :func:`synthetic_traffic` mix stamped with an arrival process.
 
     ``arrival`` selects the process (``"poisson"`` or ``"bursty"`` at
     ``arrival_rate`` requests/second); ``slo_ms`` attaches the same
     end-to-end latency SLO to every request (None = no deadlines).
-    ``repeat_alpha``/``family_size`` are the repeat-heavy knob the
-    affinity benchmarks sweep: when set they override
-    ``zipf_skew``/``n_graphs`` as the Zipf exponent and pool size of
-    the graph-family popularity law (higher alpha = hotter head = more
-    fingerprint reuse). Everything derives from ``seed``, so the trace
-    — graphs, arrival times and deadlines — is deterministic. Returns
-    requests in arrival order, ready for
-    :meth:`InferenceService.submit_many`.
+    Everything derives from ``seed``, so the trace — graphs, arrival
+    times and deadlines — is deterministic. Returns requests in arrival
+    order, ready for :meth:`InferenceService.submit_many`.
     """
-    repeat_alpha, family_size = _check_repeat(repeat_alpha, family_size)
-    if repeat_alpha is not None:
-        zipf_skew = repeat_alpha
-    if family_size is not None:
-        n_graphs = family_size
     base = synthetic_traffic(
         n_requests, n_graphs=n_graphs, n_nodes=n_nodes, seed=seed,
         configs=configs, avg_degree=avg_degree, zipf_skew=zipf_skew,
@@ -279,8 +249,7 @@ def mixed_traffic(n_requests, *, arrival_rate, chip_capacity, seed=7,
                   sharded_fraction=0.15, critical_slo_ms=1.0,
                   batch_slo_ms=20.0, sharded_slo_ms=None,
                   small_nodes=None, batch_nodes=None, sharded_nodes=None,
-                  n_graphs=3, avg_degree=8, repeat_alpha=None,
-                  family_size=None, graph_kwargs=None):
+                  n_graphs=3, avg_degree=8, graph_kwargs=None):
     """A multi-tenant request mix: critical, batch and sharded tenants.
 
     Models the co-scheduling regime of a shared pool: a Poisson stream
@@ -293,17 +262,10 @@ def mixed_traffic(n_requests, *, arrival_rate, chip_capacity, seed=7,
     default to ``chip_capacity // 4``, ``chip_capacity // 2`` and
     ``3 * chip_capacity``. Each tenant class draws from its own pool of
     ``n_graphs`` fixed-seed RMAT specs, so repeat traffic still hits
-    the autotune cache. ``family_size`` overrides ``n_graphs``, and
-    ``repeat_alpha`` (None = historical uniform picks) makes each
-    class's pool Zipf-popular with that exponent — the repeat-heavy
-    regime the cache-affinity benchmarks model. Everything derives
-    from ``seed``; the trace is deterministic. Returns requests in
-    arrival order.
+    the autotune cache. Everything derives from ``seed``; the trace is
+    deterministic. Returns requests in arrival order.
     """
     check_positive_int(n_requests, "n_requests")
-    repeat_alpha, family_size = _check_repeat(repeat_alpha, family_size)
-    if family_size is not None:
-        n_graphs = family_size
     check_positive_int(n_graphs, "n_graphs")
     chip_capacity = check_positive_int(chip_capacity, "chip_capacity")
     for name, fraction in (("critical_fraction", critical_fraction),
@@ -354,12 +316,7 @@ def mixed_traffic(n_requests, *, arrival_rate, chip_capacity, seed=7,
         p=[float(critical_fraction), 1.0 - float(critical_fraction)
            - float(sharded_fraction), float(sharded_fraction)],
     )
-    if repeat_alpha is None:
-        picks = rng.integers(0, n_graphs, size=n_requests)
-    else:
-        weights = 1.0 / np.arange(1, n_graphs + 1) ** repeat_alpha
-        weights /= weights.sum()
-        picks = rng.choice(n_graphs, size=n_requests, p=weights)
+    picks = rng.integers(0, n_graphs, size=n_requests)
     times = poisson_arrivals(n_requests, rate=arrival_rate, seed=seed)
     requests = []
     for i in range(n_requests):

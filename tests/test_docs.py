@@ -1,8 +1,10 @@
-"""Documentation stays healthy: links resolve, cli.md tracks the CLI.
+"""Documentation stays healthy: links and file references resolve,
+cli.md tracks the CLI.
 
-The cheap halves of the CI docs job, run in tier-1 so a broken link or
-a CLI flag change without a ``docs/cli.md`` regeneration fails locally
-too. The README quickstart snippets (which actually simulate) run only
+The cheap parts of the CI docs job, run in tier-1 so a broken link, a
+dangling file reference in code (``check_docs.py --links`` checks
+both) or a CLI flag change without a
+``docs/cli.md`` regeneration fails locally too. The README quickstart snippets (which actually simulate) run only
 in the CI docs job — see ``tools/check_docs.py --quickstart``.
 """
 
@@ -11,6 +13,9 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "tools"))
+
+import check_docs  # noqa: E402
 
 
 def _run_tool(script, *args):
@@ -32,6 +37,37 @@ class TestDocs:
     def test_internal_links_resolve(self):
         result = _run_tool("check_docs.py", "--links")
         assert result.returncode == 0, result.stderr
+
+    def test_reference_check_flags_dangling_refs(self, tmp_path):
+        # The planted names are split so that this file's own source,
+        # which the real check scans, carries no dangling reference.
+        def ref(*parts):
+            return "".join(parts)
+
+        (tmp_path / "results").mkdir()
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "src").mkdir()
+        (tmp_path / "README.md").write_text("")
+        (tmp_path / "results" / "ok.csv").write_text("")
+        (tmp_path / "results" / "ok.txt").write_text("")
+        (tmp_path / "results" / "half.csv").write_text("")
+        (tmp_path / "benchmarks" / ref("bench", "_ok.py")).write_text("")
+        good = [
+            ref("README", ".md"), ref("results", "/ok.*"),
+            ref("results", "/ok.{csv,txt}"), ref("bench", "_ok.py"),
+            ref("benchmarks", "/bench_ok.py"), ref("results", "/{name}.csv"),
+        ]
+        bad = [
+            ref("DESIGN", ".md"), ref("results", "/cache_affinity.*"),
+            ref("bench", "_cache_affinity.py"),
+            ref("tests", "/test_gone.py"), ref("results", "/half.{csv,txt}"),
+        ]
+        (tmp_path / "src" / "mod.py").write_text(
+            '"""' + " ".join(f"see ``{name}``." for name in good + bad)
+            + '"""\n'
+        )
+        errors = check_docs.check_refs(tmp_path, dirs=("src",))
+        assert [error.split("-> ")[1] for error in errors] == bad
 
     def test_cli_reference_in_sync(self):
         result = _run_tool("gen_cli_docs.py", "--check")

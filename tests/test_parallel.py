@@ -317,13 +317,13 @@ class TestCachePeekAndMerge:
         a, b, c = _accel(51), _accel(52), _accel(53)
         a.run(cache=left)
         b.run(cache=left)
-        b.run(cache=right)  # duplicates left's entry; not fresher
+        b.run(cache=right)  # duplicates left's entry
         c.run(cache=right)
         merged = left.merge(right)
         assert merged == 2
         assert len(left) == 3
-        # New keys land most recent; the duplicate (equal last-use
-        # stamps, so not fresher) keeps its receiver-side position.
+        # New keys land most recent; the duplicate keeps its
+        # receiver-side position.
         keys = list(left._entries.keys())
         assert keys[0][0] == a.fingerprint()
         assert keys[1][0] == b.fingerprint()

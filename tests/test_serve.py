@@ -1,5 +1,7 @@
 """The batched inference service: scheduler, autotune cache, service."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from repro.serve import (
     InferenceService,
     RequestQueue,
     RmatGraphSpec,
-    Scheduler,
+    StreamingScheduler,
     serve_requests,
     synthetic_traffic,
 )
@@ -59,11 +61,44 @@ class TestRequestQueue:
             RequestQueue().submit("not a request")
 
 
+def _old_planner(queued, max_batch=None):
+    """The retired offline planner's batch order, as a reference.
+
+    Groups by (config, a_hops) in first-appearance order, splits each
+    group into ``max_batch`` chunks and orders the chunks by their
+    oldest member. Returns the member sequence numbers per batch.
+    """
+    groups = {}
+    for item in queued:
+        key = (item.request.config, item.request.a_hops)
+        groups.setdefault(key, []).append(item)
+    chunks = []
+    for items in groups.values():
+        size = max_batch or len(items)
+        chunks += [items[i:i + size] for i in range(0, len(items), size)]
+    chunks.sort(key=lambda chunk: chunk[0].seq)
+    return [[item.seq for item in chunk] for chunk in chunks]
+
+
+def _offline_plan(queued, max_batch=None):
+    """Admit everything at t=0, flush, and pop batches in EDF order."""
+    stream = StreamingScheduler(max_batch=max_batch)
+    for item in queued:
+        stream.admit(item, now=0.0)
+    stream.flush(now=0.0)
+    batches = []
+    while stream.ready:
+        batches.append(stream.pop_ready())
+    return batches
+
+
 class TestSchedulerOrdering:
+    """The t=0 offline regime of the streaming scheduler."""
+
     def plan(self, pattern, **kwargs):
         queue = RequestQueue()
         queue.submit_many(_requests(pattern))
-        return Scheduler(**kwargs).plan(queue.drain())
+        return _offline_plan(queue.drain(), **kwargs)
 
     def test_groups_by_config(self):
         batches = self.plan("aabba")
@@ -95,34 +130,62 @@ class TestSchedulerOrdering:
         queue = RequestQueue()
         queue.submit(InferenceRequest(graph=SPEC, config=CFG_A, a_hops=1))
         queue.submit(InferenceRequest(graph=SPEC, config=CFG_A, a_hops=2))
-        batches = Scheduler().plan(queue.drain())
+        batches = _offline_plan(queue.drain())
         assert len(batches) == 2
 
     def test_batch_indices_are_consecutive(self):
         batches = self.plan("abab")
         assert [b.index for b in batches] == [0, 1]
 
+    @pytest.mark.parametrize("pattern", ["aabba", "baaa", "abababab",
+                                         "aaaaa", "abbbaab"])
+    @pytest.mark.parametrize("max_batch", [None, 1, 2, 3])
+    def test_reproduces_the_offline_planner_order(self, pattern, max_batch):
+        queue = RequestQueue()
+        queue.submit_many(_requests(pattern))
+        queued = queue.drain()
+        batches = _offline_plan(queued, max_batch=max_batch)
+        assert [[q.seq for q in b.items] for b in batches] == (
+            _old_planner(queued, max_batch)
+        )
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_offline_drain_dispatches_in_planner_order(self, n_workers):
+        # The service's t=0 drain caps batches at ceil(n / n_workers)
+        # and numbers them in dispatch order: grouping its results by
+        # batch index must give the offline planner's batches.
+        requests = _requests("abbabaab")
+        outcome = serve_requests(requests, n_workers=n_workers, cache=True)
+        by_batch = {}
+        for seq, result in enumerate(outcome.results):
+            by_batch.setdefault(result.batch, []).append(seq)
+        queue = RequestQueue()
+        queue.submit_many(requests)
+        cap = -(-len(requests) // n_workers) if n_workers > 1 else None
+        assert [by_batch[i] for i in sorted(by_batch)] == (
+            _old_planner(queue.drain(), cap)
+        )
+
 
 class TestSchedulerValidation:
     def test_rejects_zero_max_batch(self):
         with pytest.raises(ConfigError):
-            Scheduler(max_batch=0)
+            StreamingScheduler(max_batch=0)
 
     def test_rejects_negative_max_batch(self):
         with pytest.raises(ConfigError):
-            Scheduler(max_batch=-3)
+            StreamingScheduler(max_batch=-3)
 
     def test_rejects_non_int_max_batch(self):
         with pytest.raises(ConfigError):
-            Scheduler(max_batch=2.5)
+            StreamingScheduler(max_batch=2.5)
 
-    def test_plan_rejects_zero_max_batch_override(self):
-        # max_batch=0 used to fall through `size = max_batch or len(items)`
-        # and silently mean "unbounded"; it must be rejected instead.
-        queue = RequestQueue()
-        queue.submit_many(_requests("aaa"))
+    def test_service_rejects_zero_max_batch(self):
+        # max_batch=0 must be rejected, never read as "unbounded".
         with pytest.raises(ConfigError):
-            Scheduler().plan(queue.drain(), max_batch=0)
+            InferenceService(max_batch=0)
+        with pytest.raises(ConfigError):
+            serve_requests(_requests("aaa"), max_batch=0)
 
     def test_queue_rejects_non_monotonic_arrivals(self):
         queue = RequestQueue()
@@ -287,6 +350,51 @@ class TestAutotuneCache:
         assert hit.cache_hit
         assert hit.total_cycles == cold.total_cycles
         assert restored.stats.hits == 1
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_loads_every_archive_version(self, tiny_nell, tmp_path,
+                                         version):
+        # save writes version 2 (entries in LRU order, no per-entry
+        # metadata). Version 1 used the same entry layout; version 3
+        # added per-entry hit counts and last-used stamps, which load
+        # ignores.
+        cache = AutotuneCache()
+        cold = GcnAccelerator(tiny_nell, CFG_A).run(cache=cache)
+        GcnAccelerator(tiny_nell, CFG_B).run(cache=cache)
+        GcnAccelerator(tiny_nell, CFG_A).run(cache=cache)  # order [B, A]
+        path = cache.save(tmp_path / "cache.npz")
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        index = json.loads(bytes(arrays["index"]).decode())
+        assert index["version"] == 2
+        assert all(set(entry) == {"fingerprint", "config", "layers"}
+                   for entry in index["entries"])
+        index["version"] = version
+        if version == 3:
+            for entry in index["entries"]:
+                entry["hits"], entry["last_used"] = 5, 2.5
+        arrays["index"] = np.frombuffer(json.dumps(index).encode(),
+                                        dtype=np.uint8)
+        np.savez_compressed(path, **arrays)
+        restored = AutotuneCache.load(path)
+        assert list(restored._entries) == list(cache._entries)
+        assert restored.stats.hits == 0 and restored.stats.misses == 0
+        hit = GcnAccelerator(tiny_nell, CFG_A).run(cache=restored)
+        assert hit.cache_hit and hit.total_cycles == cold.total_cycles
+
+    def test_rejects_unknown_archive_version(self, tiny_cora, tmp_path):
+        cache = AutotuneCache()
+        GcnAccelerator(tiny_cora, CFG_A).run(cache=cache)
+        path = cache.save(tmp_path / "cache.npz")
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        index = json.loads(bytes(arrays["index"]).decode())
+        index["version"] = 4
+        arrays["index"] = np.frombuffer(json.dumps(index).encode(),
+                                        dtype=np.uint8)
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ConfigError):
+            AutotuneCache.load(path)
 
     def test_save_without_suffix_returns_real_path(self, tiny_cora,
                                                    tmp_path):

@@ -1,4 +1,5 @@
-"""Documentation health checks: links resolve, quickstart runs.
+"""Documentation health checks: links and file references resolve,
+quickstart runs.
 
 Two independent checks, both exercised by CI's docs job (and the link
 half by ``tests/test_docs.py``):
@@ -6,7 +7,12 @@ half by ``tests/test_docs.py``):
 * ``--links``: every relative markdown link in ``README.md`` and
   ``docs/*.md`` must point at an existing file or directory (external
   ``http(s)://`` / ``mailto:`` links and pure ``#anchor`` links are
-  skipped — the repo is developed offline).
+  skipped — the repo is developed offline). Every repo-relative file
+  reference in the code under ``src/``, ``tests/``, ``benchmarks/``
+  and ``tools/`` — markdown files, ``results/`` artifacts, benchmark
+  and test modules — must resolve too. Globs
+  (``results/mixed_load.*``) and brace lists
+  (``results/straggler.{csv,txt}``) must match at least one file.
 * ``--quickstart``: every ``python`` code fence in ``README.md`` is
   executed (in order, in one namespace per fence) with ``src/`` on the
   path, so the advertised snippets can never rot.
@@ -29,6 +35,19 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # [text](target) — excluding images; target split from an optional title.
 _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
+# File references in code: markdown files (bare names resolve at the
+# repo root or under docs/), results/ artifacts, and benchmark/test
+# modules (bare bench_*/test_* names resolve under benchmarks/ and
+# tests/).
+_REF = re.compile(
+    r"(?<![\w./{}*-])("
+    r"(?:[\w-]+/)*[\w*.-]*[\w*]\.md"
+    r"|results/[\w.*{},/-]*"
+    r"|(?:benchmarks/|tests/)?(?:bench|test)_[\w*]+\.py"
+    r")(?![\w/])"
+)
+_BRACES = re.compile(r"\{([^{}]*)\}")
+REF_DIRS = ("src", "tests", "benchmarks", "tools")
 
 
 def _doc_files():
@@ -54,6 +73,65 @@ def check_links():
                 errors.append(
                     f"{doc.relative_to(REPO_ROOT)}: broken link "
                     f"-> {target}"
+                )
+    return errors
+
+
+def _expand(ref):
+    """The concrete glob patterns one reference stands for.
+
+    ``{a,b}`` brace lists expand to one pattern each; a brace group
+    without a comma is a format template (``{name}``), not a file
+    name, so the reference is skipped (empty list).
+    """
+    match = _BRACES.search(ref)
+    if match is None:
+        return [ref]
+    if "," not in match.group(1):
+        return []
+    head, tail = ref[:match.start()], ref[match.end():]
+    return [
+        pattern
+        for option in match.group(1).split(",")
+        for pattern in _expand(head + option + tail)
+    ]
+
+
+def _candidates(pattern):
+    """Repo-relative places one reference pattern may resolve to."""
+    if "/" in pattern:
+        return [pattern]
+    if pattern.startswith("bench_"):
+        return [f"benchmarks/{pattern}"]
+    if pattern.startswith("test_"):
+        return [f"tests/{pattern}"]
+    return [pattern, f"docs/{pattern}"]
+
+
+def _exists(root, candidate):
+    if "*" in candidate:
+        return any(root.glob(candidate))
+    return (root / candidate).exists()
+
+
+def check_refs(root=REPO_ROOT, dirs=REF_DIRS):
+    """Verify repo-relative file references in code; returns errors."""
+    root = Path(root)
+    errors = []
+    for name in dirs:
+        for source in sorted((root / name).rglob("*.py")):
+            text = source.read_text()
+            for match in _REF.finditer(text):
+                ref = match.group(1).rstrip(".,")
+                if all(
+                    any(_exists(root, c) for c in _candidates(pattern))
+                    for pattern in _expand(ref)
+                ):
+                    continue
+                line = text.count("\n", 0, match.start()) + 1
+                errors.append(
+                    f"{source.relative_to(root)}:{line}: unresolved "
+                    f"file reference -> {ref}"
                 )
     return errors
 
@@ -97,7 +175,8 @@ def check_quickstart():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--links", action="store_true",
-                        help="only check markdown links")
+                        help="only check markdown links and file "
+                             "references in code")
     parser.add_argument("--quickstart", action="store_true",
                         help="only run the README python fences")
     args = parser.parse_args(argv)
@@ -107,6 +186,7 @@ def main(argv=None):
     errors = []
     if run_links:
         errors.extend(check_links())
+        errors.extend(check_refs())
     if run_quickstart:
         errors.extend(check_quickstart())
     for error in errors:

@@ -66,7 +66,7 @@ class TestDocs:
             '"""' + " ".join(f"see ``{name}``." for name in good + bad)
             + '"""\n'
         )
-        errors = check_docs.check_refs(tmp_path, dirs=("src",))
+        errors = check_docs.check_refs(tmp_path)
         assert [error.split("-> ")[1] for error in errors] == bad
 
     def test_cli_reference_in_sync(self):

@@ -114,11 +114,11 @@ def _exists(root, candidate):
     return (root / candidate).exists()
 
 
-def check_refs(root=REPO_ROOT, dirs=REF_DIRS):
+def check_refs(root=REPO_ROOT):
     """Verify repo-relative file references in code; returns errors."""
     root = Path(root)
     errors = []
-    for name in dirs:
+    for name in REF_DIRS:
         for source in sorted((root / name).rglob("*.py")):
             text = source.read_text()
             for match in _REF.finditer(text):

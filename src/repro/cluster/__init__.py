@@ -60,11 +60,9 @@ from repro.cluster.multichip import (
     ClusterConfig,
     ClusterReport,
     RebalanceInfo,
-    ShardedSpmmResult,
     StragglerEvent,
     rebalance_plan,
     simulate_multichip_gcn,
-    simulate_sharded_spmm,
 )
 
 __all__ = [
@@ -86,9 +84,7 @@ __all__ = [
     "ClusterConfig",
     "ClusterReport",
     "RebalanceInfo",
-    "ShardedSpmmResult",
     "StragglerEvent",
     "rebalance_plan",
     "simulate_multichip_gcn",
-    "simulate_sharded_spmm",
 ]

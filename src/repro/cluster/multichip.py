@@ -19,8 +19,8 @@ Composition model, per GCN layer:
   intermediate; each chip-pair's flow is priced over its route through
   the fabric — contended links sum their traffic — instead of the old
   flat per-chip ingress scalar;
-* with ``overlap=False`` (the default, bit-identical to the serialized
-  PR 4 model) a chip's layer cost is ``compute + comm``; with
+* with ``overlap=False`` (the default, the serialized model) a chip's
+  layer cost is ``compute + comm``; with
   ``overlap=True`` the halo transfer is double-buffered behind compute:
   the cost becomes ``max(compute, comm) + exposed_tail``, where the
   exposed tail is the first buffer fill (one dense column's halo) that
@@ -62,7 +62,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.accel.config import ArchConfig
-from repro.accel.cyclemodel import SpmmJob, simulate_spmm
 from repro.accel.gcnaccel import GcnAccelerator, build_spmm_jobs, slice_jobs
 from repro.cluster.partition import (
     ShardPlan,
@@ -147,8 +146,8 @@ class ClusterConfig:
     topology:
         Fabric kind (``"all-to-all"``, ``"ring"``, ``"mesh2d"``) or a
         prebuilt :class:`~repro.cluster.topology.Topology`. The default
-        all-to-all with zero hop latency reproduces the PR 4 flat
-        ingress model bit-for-bit.
+        all-to-all with zero hop latency prices each chip's halo as one
+        flat ingress transfer.
     hop_latency_cycles:
         Fixed per-hop transit latency charged on every fabric flow
         (ignored when ``topology`` is a prebuilt instance, which
@@ -187,15 +186,15 @@ class ClusterConfig:
         them set, the initial plan and every migration are constrained
         so no chip ever owns more rows than its ceiling
         (:class:`~repro.errors.CeilingError` when infeasible). None
-        (default) keeps the unconstrained behavior bit-identical.
+        (default) leaves chips unconstrained.
     stragglers:
         Optional :class:`StragglerEvent` sequence (or ``(chip,
         onset_round, factor)`` tuples): chips that slow down mid-run.
         Steady-state composition charges the full slowdown; the
         ``"cycles"`` feedback signal observes it per round (including
         a blended mid-round measurement at a fractional onset) and
-        migrates work off the slowed chip. None (default) is
-        bit-identical to no stragglers.
+        migrates work off the slowed chip. None (default) means no
+        stragglers.
     workers:
         Host processes running the per-chip simulations
         (:mod:`repro.parallel`). Chips are independent between layer
@@ -212,9 +211,9 @@ class ClusterConfig:
         rounds multiplier as the job's own halo words, so concurrent
         tenants contend round for round — via the ``background``
         argument of :meth:`~repro.cluster.topology.Topology.comm_cycles`.
-        None (default) prices an exclusively-owned fabric, bit-identical
-        to before. The serving layer derives this from its active-job
-        registry when fabric co-scheduling is on.
+        None (default) prices an exclusively-owned fabric. The serving
+        layer derives this from its active-job registry when fabric
+        co-scheduling is on.
     """
 
     n_chips: int = 4
@@ -380,8 +379,8 @@ class ClusterConfig:
     def ref_cycles(self, cycles, chip_config):
         """Convert one chip's own-clock cycles to reference-chip cycles.
 
-        Exact (no float round trip) when the frequencies match, which
-        keeps homogeneous clusters bit-identical to the PR 4 model.
+        Exact (no float round trip) when the frequencies match, so a
+        homogeneous cluster composes in exact integer cycles.
         """
         if chip_config.frequency_mhz == self.chip.frequency_mhz:
             return int(cycles)
@@ -441,6 +440,26 @@ def _check_rebalance_inputs(plan, cluster):
         )
 
 
+def _check_plan_ceilings(plan, cluster):
+    """The cluster's validated row ceilings (None when unset).
+
+    Raises :class:`~repro.errors.CeilingError` when ``plan`` already
+    gives a chip more rows than its ceiling.
+    """
+    ceilings = check_row_ceilings(
+        cluster.row_ceilings, plan.n_chips, n_rows=plan.n_rows
+    )
+    if ceilings is not None:
+        counts = plan.chip_row_counts()
+        if np.any(counts > ceilings):
+            over = int(np.argmax(counts > ceilings))
+            raise CeilingError(
+                f"plan violates row_ceilings: chip {over} owns "
+                f"{int(counts[over])} rows, ceiling {int(ceilings[over])}"
+            )
+    return ceilings
+
+
 def _straggler_multipliers(cluster, round_index=None):
     """Per-chip compute slowdown factors, or None when all are 1.0.
 
@@ -478,7 +497,7 @@ def _pending_onset(cluster, round_index):
 
 
 def _diffuse_pairs(bounds, weights, chip_time, marginal, *,
-                   block_rows=None, row_counts=None, row_ceilings=None):
+                   block_rows=None, row_ceilings=None):
     """One boundary-diffusion sweep toward equal per-chip *time*.
 
     ``chip_time[c]`` is chip ``c``'s current time estimate and
@@ -489,65 +508,52 @@ def _diffuse_pairs(bounds, weights, chip_time, marginal, *,
     transferred time would exceed half the pair's gap (the SLT rule) and
     never emptying the giver. Returns True when any block moved.
 
-    With ``row_ceilings`` set (plus ``block_rows``, rows per block, and
-    ``row_counts``, current rows per chip — mutated in place), every
-    transfer is additionally clamped so the receiving chip never
+    With ``row_ceilings`` set (plus ``block_rows``, rows per block),
+    every transfer is additionally clamped so the receiving chip never
     exceeds its hard row ceiling; the giver can only shrink, so it
     stays feasible by construction.
     """
     n_chips = chip_time.size
+    if row_ceilings is not None:
+        row_counts = np.add.reduceat(block_rows, bounds[:-1]).astype(np.int64)
     moved_any = False
     for left in range(n_chips - 1):
         gap = chip_time[left] - chip_time[left + 1]
         target = abs(gap) / 2.0
+        # Orient the pair: the hotter side gives the blocks at the
+        # shared boundary, edge-inward, to the colder side.
         if gap > 0:
-            # Left chip hotter: shift its tail blocks rightward.
-            shifted, acc = 0, 0.0
-            while bounds[left + 1] - 1 - shifted > bounds[left]:
-                b = bounds[left + 1] - 1 - shifted
-                w = float(weights[b])
-                dt = w * marginal[left]
-                if acc + dt > target:
-                    break
-                if row_ceilings is not None:
-                    rows_b = int(block_rows[b])
-                    if row_counts[left + 1] + rows_b > row_ceilings[left + 1]:
-                        break
-                    row_counts[left] -= rows_b
-                    row_counts[left + 1] += rows_b
-                acc += dt
-                shifted += 1
-                chip_time[left] -= w * marginal[left]
-                chip_time[left + 1] += w * marginal[left + 1]
-            if shifted:
-                bounds[left + 1] -= shifted
-                moved_any = True
+            giver, taker, step = left, left + 1, -1
         elif gap < 0:
-            shifted, acc = 0, 0.0
-            while bounds[left + 1] + shifted < bounds[left + 2] - 1:
-                b = bounds[left + 1] + shifted
-                w = float(weights[b])
-                dt = w * marginal[left + 1]
-                if acc + dt > target:
+            giver, taker, step = left + 1, left, 1
+        else:
+            continue
+        edge = bounds[left + 1]
+        room = bounds[giver + 1] - bounds[giver] - 1
+        shifted, acc = 0, 0.0
+        while shifted < room:
+            b = edge + shifted if step > 0 else edge - 1 - shifted
+            w = float(weights[b])
+            dt = w * marginal[giver]
+            if acc + dt > target:
+                break
+            if row_ceilings is not None:
+                rows_b = int(block_rows[b])
+                if row_counts[taker] + rows_b > row_ceilings[taker]:
                     break
-                if row_ceilings is not None:
-                    rows_b = int(block_rows[b])
-                    if row_counts[left] + rows_b > row_ceilings[left]:
-                        break
-                    row_counts[left + 1] -= rows_b
-                    row_counts[left] += rows_b
-                acc += dt
-                shifted += 1
-                chip_time[left + 1] -= w * marginal[left + 1]
-                chip_time[left] += w * marginal[left]
-            if shifted:
-                bounds[left + 1] += shifted
-                moved_any = True
+                row_counts[giver] -= rows_b
+                row_counts[taker] += rows_b
+            acc += dt
+            shifted += 1
+            chip_time[giver] -= dt
+            chip_time[taker] += w * marginal[taker]
+        if shifted:
+            bounds[left + 1] += step * shifted
+            moved_any = True
     return moved_any
 
 
-def rebalance_plan(plan, row_nnz, cluster, *, capacities=None,
-                   row_ceilings=None):
+def rebalance_plan(plan, row_nnz, cluster):
     """Run the chip-level Eq. 5 load-signal controller; ``(plan, info)``.
 
     Blocks play the role of rows, chips the role of PEs, and the
@@ -563,16 +569,16 @@ def rebalance_plan(plan, row_nnz, cluster, *, capacities=None,
     ``rebalance_patience`` rounds (or ``max_rebalance_rounds``); like
     the intra-chip tuner's freeze, the best map seen is restored.
 
-    ``capacities`` defaults to the cluster's own
-    (:meth:`ClusterConfig.capacities`); a homogeneous cluster reduces
-    bit-for-bit to the PR 4 unnormalized controller.
+    Times are normalized by the cluster's
+    :meth:`ClusterConfig.capacities`; on a homogeneous cluster (all
+    ones) the arithmetic is the unnormalized controller's exactly.
 
-    ``row_ceilings`` (defaulting to :attr:`ClusterConfig.row_ceilings`)
-    are hard per-chip row budgets: every transfer is clamped so no
-    migration pushes a chip past its ceiling, and a plan that already
-    violates one raises :class:`~repro.errors.CeilingError`. The
-    best-map restore only ever sees clamped candidates, so the returned
-    plan respects every ceiling too.
+    The cluster's :attr:`ClusterConfig.row_ceilings` are hard per-chip
+    row budgets: every transfer is clamped so no migration pushes a
+    chip past its ceiling, and a plan that already violates one raises
+    :class:`~repro.errors.CeilingError`. The best-map restore only ever
+    sees clamped candidates, so the returned plan respects every
+    ceiling too.
 
     Requires a contiguous plan (``owner`` sorted in runs, as both
     :func:`~repro.cluster.partition.make_plan` strategies produce):
@@ -580,24 +586,8 @@ def rebalance_plan(plan, row_nnz, cluster, *, capacities=None,
     """
     _check_rebalance_inputs(plan, cluster)
     weights = plan.block_weights(row_nnz)
-    if capacities is None:
-        capacities = cluster.capacities()
-    else:
-        capacities = check_capacities(capacities, plan.n_chips)
-    if row_ceilings is None:
-        row_ceilings = cluster.row_ceilings
-    ceilings = check_row_ceilings(
-        row_ceilings, plan.n_chips, n_rows=plan.n_rows
-    )
-    if ceilings is not None:
-        counts = plan.chip_row_counts()
-        if np.any(counts > ceilings):
-            over = int(np.argmax(counts > ceilings))
-            raise CeilingError(
-                f"input plan already violates row_ceilings: chip {over} "
-                f"owns {int(counts[over])} rows, ceiling "
-                f"{int(ceilings[over])}"
-            )
+    capacities = cluster.capacities()
+    ceilings = _check_plan_ceilings(plan, cluster)
     uniform = bool(np.all(capacities == 1.0))
     if plan.n_chips == 1 or plan.n_blocks <= plan.n_chips:
         return plan, _noop_info()
@@ -621,14 +611,9 @@ def rebalance_plan(plan, row_nnz, cluster, *, capacities=None,
     rounds = 0
     converged_round = None
     while rounds < cluster.max_rebalance_rounds:
-        row_counts = (
-            np.add.reduceat(block_rows, bounds[:-1]).astype(np.int64)
-            if ceilings is not None else None
-        )
         moved_any = _diffuse_pairs(
             bounds, weights, chip_times(bounds), marginal,
-            block_rows=block_rows if ceilings is not None else None,
-            row_counts=row_counts, row_ceilings=ceilings,
+            block_rows=block_rows, row_ceilings=ceilings,
         )
         times = chip_times(bounds)
         gap_history.append(gap_of(times))
@@ -663,8 +648,8 @@ def _migration_cycles(cluster, old_plan, new_plan, weights):
     """Fabric cycles to ship rebalanced blocks to their new chips.
 
     Migrations happen before steady-state execution; the conservative
-    model serializes the whole burst over one link (the PR 4 price) and
-    adds the fabric's per-hop latency for the farthest moved block.
+    model serializes the whole burst over one link and adds the
+    fabric's per-hop latency for the farthest moved block.
     """
     moved = new_plan.owner != old_plan.owner
     if not moved.any():
@@ -682,71 +667,6 @@ def _migration_cycles(cluster, old_plan, new_plan, weights):
         key=lambda pair: fabric.hops(*pair),
     )
     return fabric.transfer_cycles(src, dst, words)
-
-
-@dataclass(frozen=True)
-class ShardedSpmmResult:
-    """Timing outcome of one SpMM sharded across chips."""
-
-    chip_results: tuple
-    """Per-chip :class:`~repro.accel.cyclemodel.SpmmResult`."""
-    comm_cycles: np.ndarray
-    """Per-chip halo-transfer cycles for this SpMM (fabric-priced)."""
-    total_cycles: int
-    """Barrier-synchronized cost: max over chips of compute + comm,
-    in reference-chip cycles."""
-
-    @property
-    def compute_cycles(self):
-        """Per-chip compute cycles at each chip's own clock."""
-        return np.asarray(
-            [r.total_cycles for r in self.chip_results], dtype=np.int64
-        )
-
-
-def simulate_sharded_spmm(job, cluster, plan, *, adjacency=None):
-    """Simulate one SpMM split row-wise across a cluster's chips.
-
-    Each chip runs :func:`~repro.accel.cyclemodel.simulate_spmm` on the
-    job restricted to its rows, on its own
-    :class:`~repro.accel.ArchConfig`. ``adjacency`` (the sparse
-    operand's structure) derives the halo traffic each chip-pair
-    exchanges, priced over the cluster's fabric; omit it for
-    feature-side ``X W`` jobs, whose operand rows are chip-local (zero
-    communication).
-    """
-    if not isinstance(job, SpmmJob):
-        raise ConfigError(f"job must be SpmmJob, got {type(job).__name__}")
-    if job.row_nnz.size != plan.n_rows:
-        raise ConfigError(
-            f"plan covers {plan.n_rows} rows but job has "
-            f"{job.row_nnz.size}"
-        )
-    comm = np.zeros(plan.n_chips, dtype=np.int64)
-    if adjacency is not None:
-        halo = halo_exchange(adjacency, plan)
-        comm = cluster.fabric.comm_cycles(
-            halo.words.astype(np.float64) * job.n_rounds
-        )
-    chip_results = []
-    for chip in range(plan.n_chips):
-        rows = plan.chip_rows(chip)
-        shard_job = SpmmJob(
-            name=f"{job.name}@chip{chip}",
-            row_nnz=job.row_nnz[rows],
-            n_rounds=job.n_rounds,
-            tdq=job.tdq,
-        )
-        chip_results.append(simulate_spmm(shard_job, cluster.chip_for(chip)))
-    compute = np.asarray([
-        cluster.ref_cycles(r.total_cycles, cluster.chip_for(c))
-        for c, r in enumerate(chip_results)
-    ], dtype=np.int64)
-    return ShardedSpmmResult(
-        chip_results=tuple(chip_results),
-        comm_cycles=comm,
-        total_cycles=int((compute + comm).max()),
-    )
 
 
 @dataclass(frozen=True)
@@ -1030,9 +950,7 @@ def _feedback_rebalance(dataset, cluster, plan, layers, cache, name,
     """
     weights = plan.block_weights(row_nnz)
     block_rows = plan.block_sizes
-    ceilings = check_row_ceilings(
-        cluster.row_ceilings, cluster.n_chips, n_rows=plan.n_rows
-    )
+    ceilings = _check_plan_ceilings(plan, cluster)
     initial = plan
     plan, _load_info = rebalance_plan(plan, row_nnz, cluster)
     bounds = _plan_bounds(plan)
@@ -1112,14 +1030,9 @@ def _feedback_rebalance(dataset, cluster, plan, layers, cache, name,
             break
         loads = np.add.reduceat(weights, bounds[:-1]).astype(np.float64)
         marginal = measured / np.maximum(loads, 1.0)
-        row_counts = (
-            np.add.reduceat(block_rows, bounds[:-1]).astype(np.int64)
-            if ceilings is not None else None
-        )
         moved = _diffuse_pairs(
             bounds, weights, measured.copy(), marginal,
-            block_rows=block_rows if ceilings is not None else None,
-            row_counts=row_counts, row_ceilings=ceilings,
+            block_rows=block_rows, row_ceilings=ceilings,
         )
         if not moved and not pending:
             converged_round = rounds
@@ -1186,11 +1099,11 @@ def simulate_multichip_gcn(dataset, cluster, *, a_hops=1, cache=None,
         a_row_nnz = dataset.adjacency_row_nnz()
     else:
         a_row_nnz = dataset.adjacency.row_nnz()
-    capacities = cluster.capacities()
     if plan is None:
         plan = make_plan(
             a_row_nnz, cluster.n_chips, strategy=cluster.strategy,
-            blocks_per_chip=cluster.blocks_per_chip, capacities=capacities,
+            blocks_per_chip=cluster.blocks_per_chip,
+            capacities=cluster.capacities(),
             row_ceilings=cluster.row_ceilings,
         )
     elif plan.n_rows != dataset.n_nodes or plan.n_chips != cluster.n_chips:
@@ -1198,17 +1111,8 @@ def simulate_multichip_gcn(dataset, cluster, *, a_hops=1, cache=None,
             f"plan ({plan!r}) does not match dataset "
             f"({dataset.n_nodes} nodes) / cluster ({cluster.n_chips} chips)"
         )
-    elif cluster.row_ceilings is not None:
-        ceilings = check_row_ceilings(
-            cluster.row_ceilings, cluster.n_chips, n_rows=plan.n_rows
-        )
-        counts = plan.chip_row_counts()
-        if np.any(counts > ceilings):
-            over = int(np.argmax(counts > ceilings))
-            raise CeilingError(
-                f"supplied plan violates row_ceilings: chip {over} owns "
-                f"{int(counts[over])} rows, ceiling {int(ceilings[over])}"
-            )
+    else:
+        _check_plan_ceilings(plan, cluster)
 
     layers = build_spmm_jobs(dataset, a_hops=a_hops)
     name = getattr(dataset, "name", "custom")
@@ -1227,8 +1131,6 @@ def simulate_multichip_gcn(dataset, cluster, *, a_hops=1, cache=None,
             "a_hops": a_hops,
         })
         for ev in (cluster.stragglers or ()):
-            if not isinstance(ev, StragglerEvent):
-                ev = StragglerEvent(*ev)
             tracer.instant("cluster.straggler", lane=lane, args={
                 "chip": ev.chip,
                 "onset_round": ev.onset_round,
@@ -1248,9 +1150,7 @@ def simulate_multichip_gcn(dataset, cluster, *, a_hops=1, cache=None,
         )
     else:
         if cluster.rebalance:
-            plan, info = rebalance_plan(
-                plan, a_row_nnz, cluster, capacities=capacities
-            )
+            plan, info = rebalance_plan(plan, a_row_nnz, cluster)
             if cluster.rebalance_signal != info.signal:
                 # The feedback gate was closed (single chip, or no
                 # spare blocks to migrate) and the load controller ran

@@ -35,16 +35,14 @@ shrinks. Everything on the simulated clock is identical.
 
 The pool is created lazily on first use (``fork`` start method where
 available, ``spawn`` otherwise), kept alive across calls, resized on
-demand and torn down at interpreter exit. ``REPRO_PARALLEL_DISABLE=1``
-forces the sequential path regardless of any ``workers`` knob — an
-escape hatch for hosts where :mod:`multiprocessing` is unavailable.
+demand and torn down at interpreter exit. ``workers=1`` never touches
+it.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing
-import os
 from dataclasses import dataclass
 
 from repro.accel.gcnaccel import CachedTuning, GcnAccelerator
@@ -52,19 +50,6 @@ from repro.utils.validation import check_positive_int
 
 _POOL = None
 _POOL_SIZE = 0
-
-
-def check_workers(workers, name="workers"):
-    """Validate a worker-count knob (positive int; 1 = sequential)."""
-    return check_positive_int(workers, name)
-
-
-def effective_workers(workers):
-    """The worker count actually used, honoring the disable switch."""
-    workers = check_workers(workers)
-    if os.environ.get("REPRO_PARALLEL_DISABLE") == "1":
-        return 1
-    return workers
 
 
 def _make_pool(processes):
@@ -174,7 +159,7 @@ def presimulate(accels, *, cache=None, workers=2, tracer=None):
         payloads.append((accel.jobs, accel.config, accel.name, trace))
     if not payloads:
         return {}
-    workers = effective_workers(workers)
+    workers = check_positive_int(workers, "workers")
     if workers <= 1 or len(payloads) == 1:
         results = [_simulate_payload(p) for p in payloads]
     else:
@@ -238,12 +223,12 @@ def simulate_accels(accels, *, cache=None, workers=1, tracer=None):
     """Run a batch of accelerator simulations, possibly in parallel.
 
     Drop-in replacement for ``[a.run(cache=cache) for a in accels]``:
-    with ``workers=1`` (or the disable switch set) it *is* that loop —
+    with ``workers=1`` it *is* that loop —
     the sequential oracle — and with ``workers>1`` the cold runs go
     through the pool and replay bit-identically (see module docstring),
     including the recorded event stream when a ``tracer`` is active.
     """
-    workers = effective_workers(workers)
+    workers = check_positive_int(workers, "workers")
     if workers <= 1:
         return [accel.run(cache=cache, tracer=tracer) for accel in accels]
     presim = presimulate(accels, cache=cache, workers=workers,

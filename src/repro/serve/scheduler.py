@@ -194,8 +194,8 @@ class StreamingScheduler:
         removed from the batch and recorded in :attr:`shed_log` (the
         service turns the log into rejected
         :class:`~repro.serve.request.InferenceResult` outcomes) instead
-        of being served hopelessly late. Default False preserves the
-        historical serve-late behavior bit-for-bit.
+        of being served hopelessly late. Default False serves every
+        member, late or not.
     priorities:
         Priority-class mode (the co-scheduling service turns this on):
         the grouping key gains the request's
@@ -203,8 +203,8 @@ class StreamingScheduler:
         (batches are priority-pure — a best-effort request never rides
         in front of a critical one by sharing its batch), and the ready
         queue orders by ``(class, deadline, arrival)`` so a lower class
-        always dispatches first. Default False is bit-identical to the
-        historical ``(deadline, arrival)`` EDF order.
+        always dispatches first. Default False orders the ready queue
+        by ``(deadline, arrival)`` EDF alone.
     critical_slo_ms:
         The SLO threshold (ms) at or under which a request without an
         explicit priority derives class 0 (deadline-critical). Only
@@ -274,7 +274,7 @@ class StreamingScheduler:
     def _group_key(self, request):
         """The grouping key one request batches under.
 
-        ``(config, a_hops)`` historically; with :attr:`priorities` the
+        ``(config, a_hops)``; with :attr:`priorities` the
         priority class is appended so batches stay priority-pure. The
         first two elements are always the reconfiguration surface — the
         service keys instance state and service-time estimates off
@@ -309,15 +309,6 @@ class StreamingScheduler:
         """
         return self._estimates.get((config, a_hops), 0.0)
 
-    def request_class(self, request):
-        """The priority class this scheduler assigns one request.
-
-        2 (best effort) and below only matter with :attr:`priorities`
-        on; without it every request is class 2-equivalent and the EDF
-        order ignores the value entirely.
-        """
-        return request.priority_class(self.critical_slo_ms)
-
     def _cut_decision(self, key):
         """``(when, reason)`` — the instant this group must be sealed.
 
@@ -339,14 +330,11 @@ class StreamingScheduler:
                 when, reason = timeout, "timeout"
         return when, reason
 
-    def _cut_time(self, key):
-        """Simulated second at which this group must be sealed."""
-        return self._cut_decision(key)[0]
-
     def next_cut_time(self):
         """Earliest second any live group needs cutting (inf if none)."""
         times = [
-            self._cut_time(key) for key in self._order if self._groups.get(key)
+            self._cut_decision(key)[0]
+            for key in self._order if self._groups.get(key)
         ]
         return min(times) if times else math.inf
 
@@ -418,7 +406,7 @@ class StreamingScheduler:
         deadline = min(item.deadline for item in items)
         if self.priorities:
             # Class-major EDF: a lower class always dispatches first;
-            # within a class the historical (deadline, arrival) order.
+            # within a class the (deadline, arrival) order.
             entry = (key[2], deadline, items[0].seq, key, tuple(items))
         else:
             entry = (deadline, items[0].seq, key, tuple(items))

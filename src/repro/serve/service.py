@@ -36,7 +36,7 @@ simulations additionally run on a real :mod:`repro.parallel` process
 pool — a host-execution knob that shrinks wall time while leaving every
 modeled number bit-identical (the sequential path stays the oracle).
 
-Multi-tenant co-scheduling (PR 8, ``coschedule=True``) unifies the
+Multi-tenant co-scheduling (``coschedule=True``) unifies the
 batch and sharded paths into one pool: a waiting gang *claims* its
 planned members (claimed instances finish their current batch and take
 no new one, so the gang assembles at a bounded instant instead of
@@ -46,18 +46,19 @@ deadline-critical batch may *preempt* a lower-priority sharded job at a
 layer boundary (the remainder resumes on the same gang, cycle totals
 conserved), and concurrent sharded jobs price their halo traffic on one
 shared pool fabric (per-link background loads summing across jobs).
-All of it defaults off — the default service is bit-identical to
-before. Independent of the flag, the sharded queue uses EASY-style
-backfill: when the head job cannot possibly assemble yet, a later
-sharded job may run on idle instances iff it cannot delay the head's
-planned assembly (screened against its exact modeled duration).
+All of it defaults off. Independent of the flag, the sharded queue
+uses EASY-style backfill: when the head job cannot possibly assemble
+yet, a later sharded job may run on idle instances iff it cannot delay
+the head's planned assembly (screened against its exact modeled
+duration).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -143,7 +144,6 @@ class _ActiveJob:
     gang: list
     """The member :class:`WorkerState` objects, in gang order."""
     priority: int
-    start: float
     finish: float
     """Projected finish on the simulated clock (updated on resume)."""
     boundaries: list
@@ -152,7 +152,6 @@ class _ActiveJob:
     flows: object = None
     """Per-link halo words (pool link id space) this job keeps on the
     shared fabric per round, or None for single-chip/clamped gangs."""
-    constrained: bool = True
     preempted: bool = False
     remaining: float = 0.0
     """Modeled seconds of work left past the preemption boundary."""
@@ -340,14 +339,14 @@ class InferenceService:
         instead of serving them hopelessly late. Shed requests come
         back with ``InferenceResult.shed`` True and zeroed cycle
         fields; the shed rate is reported in
-        :attr:`ServiceStats.shed_rate`. Default False keeps the
-        historical serve-late behavior bit-for-bit.
+        :attr:`ServiceStats.shed_rate`. Default False serves late
+        requests and reports them as SLO misses.
     reconfig_cycles:
         Cycle penalty charged when an instance switches its
         ``(config, a_hops)`` between consecutive batches (converted to
         simulated seconds at the incoming config's clock and added
-        before service starts). Default 0 models free switching — the
-        historical behavior, which flatters small batches.
+        before service starts). Default 0 models free switching, which
+        flatters small batches.
     chip_capacity:
         Per-instance node-count capacity: one int for a uniform pool,
         or a sequence of ``n_workers`` ints for a heterogeneous one. A
@@ -366,7 +365,7 @@ class InferenceService:
         shared ``AutotuneCache`` is keyed per shard. Only pool-clamped
         jobs (graphs even the whole pool cannot cover) run with
         capacities as best-effort estimates. None (default) disables
-        sharding — oversized graphs run single-instance as before.
+        sharding — oversized graphs run single-instance.
         Sharded jobs dispatch earliest-deadline-first with
         oldest-arrival tie-break, which degenerates to FIFO when no
         request carries an ``slo_ms``.
@@ -384,7 +383,7 @@ class InferenceService:
         ``chips`` entry per gang member — instead of replicating the
         request's config, and the capacity-normalized cluster
         partitioner spreads the graph accordingly. None (default)
-        models the historical uniform pool. Single-instance batches
+        models a uniform pool. Single-instance batches
         still simulate at the request's config (the request defines the
         workload's target architecture; sharding is where the pool's
         physical heterogeneity binds).
@@ -419,8 +418,8 @@ class InferenceService:
         pool-wide fabric (:func:`~repro.cluster.topology.subtopology`
         of the ``cluster_options`` topology kind) and each new job
         prices its halo flows against the per-link background traffic
-        of jobs already running. Default False is bit-identical to the
-        exclusive-gang service.
+        of jobs already running. Default False runs every sharded gang
+        exclusively, on its own fabric.
     critical_slo_ms:
         SLO threshold (ms) at or under which a request without an
         explicit ``priority`` derives class 0 (deadline-critical) under
@@ -495,22 +494,20 @@ class InferenceService:
             reconfig_cycles, "reconfig_cycles"
         )
         if chip_capacity is not None:
-            if isinstance(chip_capacity, (list, tuple)):
-                caps = tuple(
-                    check_positive_int(cap, "chip_capacity")
-                    for cap in chip_capacity
-                )
-                if len(caps) != n_workers:
-                    raise ConfigError(
-                        f"chip_capacity must have one entry per worker "
-                        f"({n_workers}), got {len(caps)}"
-                    )
-                chip_capacity = caps
-            else:
-                chip_capacity = check_positive_int(
-                    chip_capacity, "chip_capacity"
+            if not isinstance(chip_capacity, (list, tuple)):
+                chip_capacity = (chip_capacity,) * n_workers
+            chip_capacity = tuple(
+                check_positive_int(cap, "chip_capacity")
+                for cap in chip_capacity
+            )
+            if len(chip_capacity) != n_workers:
+                raise ConfigError(
+                    f"chip_capacity must have one entry per worker "
+                    f"({n_workers}), got {len(chip_capacity)}"
                 )
         self.chip_capacity = chip_capacity
+        """Per-instance node capacities (one entry per worker), or None
+        when sharding is off."""
         if worker_configs is not None:
             worker_configs = tuple(worker_configs)
             if len(worker_configs) != n_workers:
@@ -528,13 +525,23 @@ class InferenceService:
                     )
         self.worker_configs = worker_configs
         self.cluster_options = dict(cluster_options or {})
-        for reserved in ("n_chips", "chip", "chips", "row_ceilings",
-                         "workers", "background_link_loads"):
-            if reserved in self.cluster_options:
+        reserved = ("n_chips", "chip", "chips", "row_ceilings", "workers",
+                    "background_link_loads")
+        for key in reserved:
+            if key in self.cluster_options:
                 raise ConfigError(
-                    f"cluster_options may not override {reserved!r} "
+                    f"cluster_options may not override {key!r} "
                     "(derived per sharded job)"
                 )
+        valid = sorted(
+            f.name for f in fields(ClusterConfig) if f.name not in reserved
+        )
+        unknown = sorted(set(self.cluster_options) - set(valid))
+        if unknown:
+            raise ConfigError(
+                f"unknown cluster_options key(s) {unknown}; valid keys: "
+                f"{valid}"
+            )
         self.coschedule = bool(coschedule)
         if critical_slo_ms is not None:
             try:
@@ -561,7 +568,6 @@ class InferenceService:
         self.workers = [WorkerState(index=i) for i in range(n_workers)]
         self._n_batches = 0
         self._presim = {}
-        self._pool_fabric_cache = None
         self._active = []
         self._screen_memo = {}
         self._drain_preemptions = 0
@@ -705,9 +711,8 @@ class InferenceService:
             # cannot push the head's planned assembly back — either it
             # avoids the reserved instances entirely, or its exact
             # screened duration proves they are free again in time.
-            if self.coschedule:
-                self._retire_active(clock)
-            claims = self._resume_claims() if self.coschedule else set()
+            self._retire_active(clock)
+            claims = self._resume_claims()
             reserved = set()
             while sharded:
                 head_at = self._sharded_head(sharded)
@@ -766,7 +771,7 @@ class InferenceService:
                                                   clamp=False)
                         if picked is not None:
                             gang, constrained = picked
-                            would_end = self._would_start(
+                            would_end = self._gang_start(
                                 gang, cand.request, clock
                             ) + self._screen_duration(
                                 cand, gang, constrained, clock
@@ -805,19 +810,16 @@ class InferenceService:
                 needed = self._batch_nodes(items)
                 worker = self._free_worker(clock, needed, claimed=claimed)
                 if worker is None:
-                    if self.coschedule and self._active:
-                        self._maybe_preempt(stream.peek_ready(), needed,
-                                            clock)
+                    if self._active:
+                        self._maybe_preempt(items, needed, clock)
                     break
-                if self.coschedule:
-                    for entry in self._active:
-                        if (entry.preempted and not entry.grant_used
-                                and entry.grant == worker.index):
-                            entry.grant_used = True
+                for entry in self._active:
+                    if (entry.preempted and not entry.grant_used
+                            and entry.grant == worker.index):
+                        entry.grant_used = True
                 self._serve_batch(stream.pop_ready(), worker, clock,
                                   stream, results)
-            if self.coschedule:
-                self._process_resumes(clock, results)
+            self._process_resumes(clock, results)
             if trace:
                 tr.counter("service.queue", ts=clock, values={
                     "pending": stream.pending,
@@ -835,8 +837,7 @@ class InferenceService:
                 horizon.append(queued[i].arrival_time)
             if stream.pending:
                 horizon.append(stream.next_cut_time())
-            claimed = (self._resume_claims() | reserved
-                       if self.coschedule else set())
+            claimed = self._resume_claims() | reserved
             if stream.ready:
                 needed = self._batch_nodes(stream.peek_ready())
                 frees = [
@@ -850,7 +851,6 @@ class InferenceService:
                 head = sharded[self._sharded_head(sharded)]
                 planned = self._planned_gang(
                     head.request, exclude=self._resume_claims()
-                    if self.coschedule else frozenset()
                 )
                 if planned is not None:
                     horizon.append(planned[0])
@@ -859,12 +859,9 @@ class InferenceService:
                             if w.free_at > clock]
                     if busy:
                         horizon.append(min(busy))
-            if self.coschedule:
-                for entry in self._active:
-                    if entry.preempted:
-                        horizon.append(max(
-                            w.free_at for w in entry.gang
-                        ))
+            for entry in self._active:
+                if entry.preempted:
+                    horizon.append(max(w.free_at for w in entry.gang))
             if not horizon:
                 break
             clock = max(clock, min(horizon))
@@ -912,7 +909,7 @@ class InferenceService:
         """
         if self.chip_capacity is None:
             return True
-        return self._capacity_of(index) >= nodes
+        return self.chip_capacity[index] >= nodes
 
     def _free_worker(self, clock, nodes=0, claimed=frozenset()):
         """The lowest-indexed fitting instance idle at ``clock``, or None.
@@ -930,26 +927,20 @@ class InferenceService:
         """Cumulative evictions of the shared cache (0 without one)."""
         return self.cache.stats.evictions if self.cache is not None else 0
 
-    def _capacity_of(self, index):
-        """Node capacity of one instance (uniform or per-worker)."""
-        if isinstance(self.chip_capacity, tuple):
-            return self.chip_capacity[index]
-        return self.chip_capacity
-
     def _needs_sharding(self, request):
         """Whether a request's graph exceeds every instance's capacity."""
         if self.chip_capacity is None:
             return False
-        largest = (
-            max(self.chip_capacity)
-            if isinstance(self.chip_capacity, tuple)
-            else self.chip_capacity
-        )
-        return request.graph_nodes() > largest
+        return request.graph_nodes() > max(self.chip_capacity)
 
     def _class_of(self, request):
         """The request's effective priority class under this service."""
         return request.priority_class(self.critical_slo_ms)
+
+    def _priority_of(self, request):
+        """The class a result records: only a co-scheduling service
+        schedules by class, so it is None otherwise."""
+        return self._class_of(request) if self.coschedule else None
 
     def _sharded_key(self, item):
         """Sort key of one queued sharded job.
@@ -976,12 +967,18 @@ class InferenceService:
                 head = i
         return head
 
+    def _member_config(self, index, default):
+        """The :class:`~repro.accel.ArchConfig` instance ``index`` runs
+        its share of a sharded job at: its own with ``worker_configs``,
+        ``default`` (the request's config) in a uniform pool."""
+        if self.worker_configs is None:
+            return default
+        return self.worker_configs[index]
+
     def _compute_capacity_of(self, index):
         """Relative compute throughput of one instance (gang split key)."""
-        if self.worker_configs is None:
-            return 1.0
-        cfg = self.worker_configs[index]
-        return cfg.n_pes * cfg.frequency_mhz
+        cfg = self._member_config(index, None)
+        return 1.0 if cfg is None else cfg.n_pes * cfg.frequency_mhz
 
     def _fit_gang(self, candidates, nodes):
         """The covering gang inside ``candidates``, or None.
@@ -996,7 +993,7 @@ class InferenceService:
         and a feasible gang survives pruning of any superset (shares
         only shrink as members are added), so this finds a covering
         gang iff the candidate set contains one. Uniform pools reduce
-        to the historical ``ceil(nodes / capacity)`` sizing exactly:
+        to ``ceil(nodes / capacity)`` sizing exactly:
         ``nodes / k <= capacity`` iff ``k * capacity >= nodes``, and
         nothing is ever pruned.
 
@@ -1018,46 +1015,45 @@ class InferenceService:
             kept = [
                 worker for worker in gang
                 if nodes * self._compute_capacity_of(worker.index) / total
-                <= self._capacity_of(worker.index)
+                <= self.chip_capacity[worker.index]
             ]
             if len(kept) == len(gang):
                 return gang
             gang = kept
         return None
 
-    def _gang_ceilings(self, gang):
-        """The gang members' node capacities as hard row ceilings."""
-        return tuple(self._capacity_of(worker.index) for worker in gang)
-
-    def _gang_cluster(self, workers, request, *, row_ceilings=None,
-                      topology=None, background=None):
+    def _gang_cluster(self, workers, request, *, constrained=True,
+                      clock=None):
         """The :class:`ClusterConfig` a sharded run on ``workers`` uses.
 
-        Under ``coschedule``, ``topology`` carries the gang's
-        restriction of the pool fabric (overriding the kind string in
-        ``cluster_options``) and ``background`` the per-link loads of
-        the other jobs concurrently on it.
+        Chips run at their :meth:`_member_config`; ``constrained``
+        makes the members' node capacities hard row ceilings. With
+        ``clock`` (a dispatch at that instant, or its backfill screen)
+        a co-scheduled gang runs on its restriction of the pool fabric,
+        priced against the link loads of the jobs active at ``clock``.
         """
         opts = dict(self.cluster_options)
-        if topology is not None:
-            opts["topology"] = topology
-        if background is not None:
-            opts["background_link_loads"] = tuple(
-                float(x) for x in background
-            )
-        if self.worker_configs is not None:
-            return ClusterConfig(
-                n_chips=len(workers),
-                chips=tuple(
-                    self.worker_configs[worker.index] for worker in workers
-                ),
-                row_ceilings=row_ceilings,
-                workers=self.sim_workers,
-                **opts,
-            )
+        if clock is not None:
+            if self.coschedule:
+                opts["topology"] = subtopology(
+                    self._pool_fabric, tuple(w.index for w in workers)
+                )
+            background = self._background_for(clock)
+            if background is not None:
+                opts["background_link_loads"] = tuple(
+                    float(x) for x in background
+                )
+        ceilings = None
+        if constrained and self.chip_capacity is not None:
+            ceilings = tuple(self.chip_capacity[w.index] for w in workers)
         return ClusterConfig(
-            n_chips=len(workers), chip=request.config,
-            row_ceilings=row_ceilings, workers=self.sim_workers,
+            n_chips=len(workers),
+            chips=tuple(
+                self._member_config(w.index, request.config)
+                for w in workers
+            ),
+            row_ceilings=ceilings,
+            workers=self.sim_workers,
             **opts,
         )
 
@@ -1078,9 +1074,7 @@ class InferenceService:
             row_nnz = dataset.adjacency_row_nnz()
         else:
             row_nnz = dataset.adjacency.row_nnz()
-        cluster = self._gang_cluster(
-            gang, request, row_ceilings=self._gang_ceilings(gang)
-        )
+        cluster = self._gang_cluster(gang, request)
         try:
             make_plan(
                 row_nnz, cluster.n_chips, strategy=cluster.strategy,
@@ -1111,11 +1105,9 @@ class InferenceService:
         backfill path uses it so only the queue head may ever
         monopolize the whole pool best-effort.
         """
-        nodes = request.graph_nodes()
-        for end in range(1, len(free) + 1):
-            gang = self._fit_gang(free[:end], nodes)
-            if gang and self._plan_fits(gang, request):
-                return gang, True
+        found = self._first_gang(free, request)
+        if found is not None:
+            return found[1], True
         if clamp and free and len(free) == len(self.workers):
             return list(free), False
         return None
@@ -1135,16 +1127,12 @@ class InferenceService:
         the candidate pool; None when no feasible plan exists inside
         what remains (only possible with a non-empty ``exclude``).
         """
-        nodes = request.graph_nodes()
         eligible = [w for w in self.workers if w.index not in exclude]
         by_free = sorted(eligible, key=lambda w: w.free_at)
-        for end in range(1, len(by_free) + 1):
-            gang = self._fit_gang(by_free[:end], nodes)
-            if gang and self._plan_fits(gang, request):
-                return (
-                    by_free[end - 1].free_at,
-                    tuple(w.index for w in gang),
-                )
+        found = self._first_gang(by_free, request)
+        if found is not None:
+            end, gang = found
+            return by_free[end - 1].free_at, tuple(w.index for w in gang)
         if len(eligible) == len(self.workers):
             return (
                 by_free[-1].free_at,
@@ -1152,91 +1140,59 @@ class InferenceService:
             )
         return None
 
-    def _gang_ready_time(self, request):
-        """Earliest simulated second a feasible gang could assemble."""
-        return self._planned_gang(request)[0]
+    def _first_gang(self, candidates, request):
+        """``(end, gang)`` for the shortest prefix ``candidates[:end]``
+        holding a :meth:`_fit_gang` gang that :meth:`_plan_fits`."""
+        nodes = request.graph_nodes()
+        for end in range(1, len(candidates) + 1):
+            gang = self._fit_gang(candidates[:end], nodes)
+            if gang and self._plan_fits(gang, request):
+                return end, gang
+        return None
 
-    @property
+    @cached_property
     def _pool_fabric(self):
-        """The pool-wide fabric co-scheduled gangs share, memoized.
+        """The pool-wide fabric co-scheduled gangs share.
 
         Built from the ``cluster_options`` topology *kind* (default
         all-to-all) at pool size; each gang runs on its
         :func:`~repro.cluster.topology.subtopology`, so different gangs'
         link loads live in one id space and sum as background traffic.
         """
-        if self._pool_fabric_cache is None:
-            self._pool_fabric_cache = make_topology(
-                self.cluster_options.get("topology", "all-to-all"),
-                len(self.workers),
-                link_words_per_cycle=float(
-                    self.cluster_options.get("link_words_per_cycle", 8.0)
-                ),
-                hop_latency_cycles=int(
-                    self.cluster_options.get("hop_latency_cycles", 0)
-                ),
-            )
-        return self._pool_fabric_cache
-
-    def _would_start(self, workers, request, clock):
-        """When a gang dispatched at ``clock`` would actually start.
-
-        Non-mutating mirror of the :meth:`_reconfigure` gating inside
-        :meth:`_serve_sharded`: the slowest member's reconfiguration
-        penalty (if its configured key differs) delays the whole gang.
-        Used by the backfill screen, which must price a candidate
-        without touching worker state.
-        """
-        start = clock
-        for worker in workers:
-            if self.worker_configs is not None:
-                config = self.worker_configs[worker.index]
-            else:
-                config = request.config
-            key = (config, request.a_hops)
-            member_start = clock
-            if (worker.last_key is not None and worker.last_key != key
-                    and self.reconfig_cycles):
-                member_start += config.cycles_to_seconds(
-                    self.reconfig_cycles
-                )
-            start = max(start, member_start)
-        return start
+        return make_topology(
+            self.cluster_options.get("topology", "all-to-all"),
+            len(self.workers),
+            link_words_per_cycle=float(
+                self.cluster_options.get("link_words_per_cycle", 8.0)
+            ),
+            hop_latency_cycles=int(
+                self.cluster_options.get("hop_latency_cycles", 0)
+            ),
+        )
 
     def _screen_duration(self, item, gang, constrained, clock):
         """Exact modeled duration a sharded dispatch would take *now*.
 
-        Runs the very simulation :meth:`_serve_sharded` would run —
-        same gang, ceilings, fabric restriction and background — against
-        a :class:`_ScreenCache`, so the shared cache's contents, stats
-        and LRU order stay untouched. Because the cache never changes
-        modeled numbers, the screened duration equals the dispatched
-        duration exactly; the backfill decision is a proof, not an
-        estimate. Memoized per (job, gang, background) so the event
-        loop can re-screen a parked candidate cheaply.
+        Runs the very simulation :meth:`_serve_sharded` would run — the
+        same :meth:`_gang_cluster` — against a :class:`_ScreenCache`,
+        so the shared cache's contents, stats and LRU order stay
+        untouched. Because the cache never changes modeled numbers, the
+        screened duration equals the dispatched duration exactly; the
+        backfill decision is a proof, not an estimate. Memoized per
+        (job, gang, background) so the event loop can re-screen a
+        parked candidate cheaply.
         """
-        indices = tuple(worker.index for worker in gang)
-        background = self._background_for(clock) if self.coschedule else None
-        bg_key = (
-            None if background is None else tuple(background.tolist())
+        background = self._background_for(clock)
+        key = (
+            item.seq, tuple(worker.index for worker in gang), constrained,
+            None if background is None else tuple(background.tolist()),
         )
-        key = (item.seq, indices, constrained, bg_key)
         cached = self._screen_memo.get(key)
         if cached is not None:
             return cached
         request = item.request
-        ceilings = (
-            self._gang_ceilings(gang)
-            if constrained and self.chip_capacity is not None else None
-        )
-        topology = (
-            subtopology(self._pool_fabric, indices)
-            if self.coschedule else None
-        )
-        cluster = self._gang_cluster(
-            gang, request, row_ceilings=ceilings,
-            topology=topology, background=background,
-        )
+        cluster = self._gang_cluster(gang, request, constrained=constrained,
+                                     clock=clock)
         report = simulate_multichip_gcn(
             request.resolve_graph(), cluster, a_hops=request.a_hops,
             cache=_ScreenCache(self.cache),
@@ -1461,14 +1417,34 @@ class InferenceService:
             shed=True,
         )
 
+    def _switch_start(self, worker, key, config, start):
+        """``start`` plus any reconfiguration penalty ``worker`` pays
+        to switch to ``key``; pure (:meth:`_reconfigure` commits it)."""
+        if (worker.last_key is not None and worker.last_key != key
+                and self.reconfig_cycles):
+            return start + config.cycles_to_seconds(self.reconfig_cycles)
+        return start
+
     def _reconfigure(self, worker, key, config, start):
         """Track a config switch; returns ``start`` plus any penalty."""
+        begin = self._switch_start(worker, key, config, start)
         if worker.last_key is not None and worker.last_key != key:
             worker.reconfigs += 1
-            if self.reconfig_cycles:
-                start += config.cycles_to_seconds(self.reconfig_cycles)
         worker.last_key = key
-        return start
+        return begin
+
+    def _gang_start(self, workers, request, clock, *, commit=False):
+        """When a gang dispatched at ``clock`` starts: the slowest
+        member's reconfiguration gates it. ``commit`` records the
+        switches; the backfill screen leaves worker state untouched."""
+        step = self._reconfigure if commit else self._switch_start
+        starts = []
+        for worker in workers:
+            config = self._member_config(worker.index, request.config)
+            starts.append(
+                step(worker, (config, request.a_hops), config, clock)
+            )
+        return max(starts)
 
     def _serve_sharded(self, item, workers, clock, results, *,
                        constrained=True, backfill=False):
@@ -1494,37 +1470,9 @@ class InferenceService:
         from repro.datasets.registry import dataset_fingerprint
 
         request = item.request
-        ceilings = (
-            self._gang_ceilings(workers)
-            if constrained and self.chip_capacity is not None else None
-        )
-        if self.worker_configs is not None:
-            start = max(
-                self._reconfigure(
-                    worker,
-                    (self.worker_configs[worker.index], request.a_hops),
-                    self.worker_configs[worker.index],
-                    clock,
-                )
-                for worker in workers
-            )
-        else:
-            key = (request.config, request.a_hops)
-            start = max(
-                self._reconfigure(worker, key, request.config, clock)
-                for worker in workers
-            )
-        topology = None
-        background = None
-        if self.coschedule:
-            topology = subtopology(
-                self._pool_fabric, tuple(w.index for w in workers)
-            )
-            background = self._background_for(clock)
-        cluster = self._gang_cluster(
-            workers, request, row_ceilings=ceilings,
-            topology=topology, background=background,
-        )
+        start = self._gang_start(workers, request, clock, commit=True)
+        cluster = self._gang_cluster(workers, request,
+                                     constrained=constrained, clock=clock)
         dataset = request.resolve_graph()
         tr = self.tracer
         if tr.enabled:
@@ -1545,10 +1493,9 @@ class InferenceService:
         # Every gang member served the request and was busy for the
         # whole sharded run: the request and batch counts go to each
         # member alike, and the one wall-clock simulation cost is split
-        # evenly (the counters then satisfy the gang invariant —
-        # identical requests_served/batches_served/modeled_busy_seconds
-        # across members, busy_seconds summing to the measured cost —
-        # instead of piling requests and wall time onto workers[0]).
+        # evenly (gang invariant: identical requests_served,
+        # batches_served and modeled_busy_seconds across members,
+        # busy_seconds summing to the measured cost).
         for worker in workers:
             worker.free_at = finish
             worker.requests_served += 1
@@ -1572,14 +1519,13 @@ class InferenceService:
             finish_time=finish,
             slo_ms=request.slo_ms,
             n_shards=len(workers),
-            priority=self._class_of(request) if self.coschedule else None,
+            priority=self._priority_of(request),
         )
         member_spans = None
         req_span = svc_span = complete_ev = None
         if tr.enabled:
             tr.wall("sim.sharded", seconds=elapsed,
                     args={"seq": item.seq})
-            lane = f"req/{item.seq}"
             member_spans = [
                 tr.span(
                     "sharded.backfill" if backfill else "sharded",
@@ -1588,35 +1534,9 @@ class InferenceService:
                 )
                 for w in workers
             ]
-            req_span = tr.span(
-                "request", lane=lane, start=request.arrival_time,
-                end=finish, args={"seq": item.seq},
+            req_span, svc_span, complete_ev = self._trace_request(
+                item, result, backfilled=backfill
             )
-            tr.span(
-                "request.queue", lane=lane, start=request.arrival_time,
-                end=start, args={"seq": item.seq},
-            )
-            svc_span = tr.span(
-                "request.service", lane=lane, start=start, end=finish,
-                args={"seq": item.seq},
-            )
-            complete_ev = tr.instant("request.complete", ts=finish, args={
-                "seq": item.seq,
-                "dataset": result.dataset,
-                "cycles": report.total_cycles,
-                "utilization": float(report.utilization),
-                "cache_hit": bool(report.cache_hit),
-                "n_shards": len(workers),
-                "backfilled": backfill,
-                "arrival": request.arrival_time,
-                "start": start,
-                "finish": finish,
-                "e2e_ms": result.e2e_ms,
-                "queue_ms": result.queue_ms,
-                "slo_ms": request.slo_ms,
-                "slo_met": result.slo_met,
-                "preemptions": 0,
-            })
         if self.coschedule:
             # Register the job as an active tenant: its layer
             # boundaries are the preemption points, its per-round halo
@@ -1635,11 +1555,9 @@ class InferenceService:
                 seq=item.seq,
                 gang=list(workers),
                 priority=self._class_of(request),
-                start=start,
                 finish=finish,
                 boundaries=boundaries,
                 flows=flows,
-                constrained=constrained,
                 spans=member_spans,
                 req_span=req_span,
                 svc_span=svc_span,
@@ -1746,48 +1664,55 @@ class InferenceService:
             start_time=start,
             finish_time=start + service_seconds,
             slo_ms=request.slo_ms,
-            priority=self._class_of(request) if self.coschedule else None,
+            priority=self._priority_of(request),
         )
         if tr.enabled:
-            finish = result.finish_time
             tr.wall("sim.request", seconds=elapsed,
                     args={"seq": item.seq})
-            lane = f"req/{item.seq}"
             tr.span(
                 "serve", lane=f"worker{worker.index}", start=start,
-                end=finish, args={"seq": item.seq, "batch": batch.index},
+                end=result.finish_time,
+                args={"seq": item.seq, "batch": batch.index},
             )
-            tr.span(
-                "request", lane=lane, start=request.arrival_time,
-                end=finish, args={"seq": item.seq},
-            )
-            tr.span(
-                "request.queue", lane=lane, start=request.arrival_time,
-                end=start, args={"seq": item.seq},
-            )
-            tr.span(
-                "request.service", lane=lane, start=start, end=finish,
-                args={"seq": item.seq},
-            )
-            tr.instant("request.complete", ts=finish, args={
-                "seq": item.seq,
-                "dataset": result.dataset,
-                "cycles": report.total_cycles,
-                "utilization": float(report.utilization),
-                "cache_hit": bool(report.cache_hit),
-                "n_shards": 1,
-                "batch": batch.index,
-                "worker": worker.index,
-                "arrival": request.arrival_time,
-                "start": start,
-                "finish": finish,
-                "e2e_ms": result.e2e_ms,
-                "queue_ms": result.queue_ms,
-                "slo_ms": request.slo_ms,
-                "slo_met": result.slo_met,
-                "preemptions": 0,
-            })
+            self._trace_request(item, result, batch=batch.index,
+                                worker=worker.index)
         return result
+
+    def _trace_request(self, item, result, **extra):
+        """Emit a served request's span tree and completion instant.
+
+        ``extra`` args follow ``n_shards`` in the completion record.
+        Returns the request span, service span and completion event,
+        which a boundary preemption later trims or moves.
+        """
+        tr = self.tracer
+        lane = f"req/{item.seq}"
+        arrival = result.arrival_time
+        start, finish = result.start_time, result.finish_time
+        req_span = tr.span("request", lane=lane, start=arrival, end=finish,
+                           args={"seq": item.seq})
+        tr.span("request.queue", lane=lane, start=arrival, end=start,
+                args={"seq": item.seq})
+        svc_span = tr.span("request.service", lane=lane, start=start,
+                           end=finish, args={"seq": item.seq})
+        complete_ev = tr.instant("request.complete", ts=finish, args={
+            "seq": item.seq,
+            "dataset": result.dataset,
+            "cycles": result.total_cycles,
+            "utilization": float(result.utilization),
+            "cache_hit": bool(result.cache_hit),
+            "n_shards": result.n_shards,
+            **extra,
+            "arrival": arrival,
+            "start": start,
+            "finish": finish,
+            "e2e_ms": result.e2e_ms,
+            "queue_ms": result.queue_ms,
+            "slo_ms": result.slo_ms,
+            "slo_met": result.slo_met,
+            "preemptions": 0,
+        })
+        return req_span, svc_span, complete_ev
 
     def _stats(self, results, n_batches, wall, n_evictions=0):
         """Fold per-request results into :class:`ServiceStats`.
@@ -1819,19 +1744,9 @@ class InferenceService:
         )
 
 
-def serve_requests(requests, *, n_workers=2, cache=True, max_batch=None,
-                   max_wait=None, shed_expired=False, reconfig_cycles=0,
-                   chip_capacity=None, cluster_options=None,
-                   worker_configs=None, workers=1, coschedule=False,
-                   critical_slo_ms=None, tracer=None):
-    """One-shot convenience: submit ``requests``, drain, return outcome."""
-    service = InferenceService(
-        n_workers=n_workers, cache=cache, max_batch=max_batch,
-        max_wait=max_wait, shed_expired=shed_expired,
-        reconfig_cycles=reconfig_cycles, chip_capacity=chip_capacity,
-        cluster_options=cluster_options, worker_configs=worker_configs,
-        workers=workers, coschedule=coschedule,
-        critical_slo_ms=critical_slo_ms, tracer=tracer,
-    )
+def serve_requests(requests, **options):
+    """One-shot convenience: submit ``requests`` to an
+    ``InferenceService(**options)``, drain, return the outcome."""
+    service = InferenceService(**options)
     service.submit_many(requests)
     return service.drain()

@@ -1,9 +1,10 @@
-"""Documentation stays healthy: links and file references resolve,
-cli.md tracks the CLI.
+"""Documentation stays healthy: links, file references and API names
+resolve, cli.md tracks the CLI.
 
 The cheap parts of the CI docs job, run in tier-1 so a broken link, a
-dangling file reference in code (``check_docs.py --links`` checks
-both) or a CLI flag change without a
+dangling file reference in code, a doc naming a ``repro.…`` function
+that no longer exists (``check_docs.py --links`` checks all three) or
+a CLI flag change without a
 ``docs/cli.md`` regeneration fails locally too. The README quickstart snippets (which actually simulate) run only
 in the CI docs job — see ``tools/check_docs.py --quickstart``.
 """
@@ -68,6 +69,26 @@ class TestDocs:
         )
         errors = check_docs.check_refs(tmp_path)
         assert [error.split("-> ")[1] for error in errors] == bad
+
+    def test_api_name_check_flags_unresolved_names(self, tmp_path):
+        good = [
+            "repro.parallel", "repro.cluster.simulate_multichip_gcn",
+            "repro.serve.service.InferenceService._serve_sharded",
+        ]
+        bad = [
+            "repro.serve.service._serve_sharded", "repro.no_such_module",
+            "repro.cluster.multichip.ClusterConfig.no_such_field",
+        ]
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "README.md").write_text(
+            " ".join(f"`{name}`" for name in good)
+        )
+        (tmp_path / "docs" / "cli.md").write_text(
+            "\n".join(f"| row | `{name}` |" for name in bad)
+        )
+        errors = check_docs.check_api_names(tmp_path)
+        assert [error.split("-> ")[1] for error in errors] == bad
+        assert errors[0].startswith("docs/cli.md:1:")
 
     def test_cli_reference_in_sync(self):
         result = _run_tool("gen_cli_docs.py", "--check")

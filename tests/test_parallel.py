@@ -79,19 +79,13 @@ def _reports_equal(a, b):
 class TestWorkersKnob:
     def test_workers_validated(self):
         with pytest.raises(ConfigError):
-            parallel.check_workers(0)
+            parallel.simulate_accels([_accel(1)], workers=0)
         with pytest.raises(ConfigError):
-            parallel.check_workers(-1)
+            parallel.simulate_accels([_accel(1)], workers=-1)
         with pytest.raises(ConfigError):
             ClusterConfig(n_chips=2, workers=0)
         with pytest.raises(ConfigError):
             InferenceService(workers=0)
-
-    def test_disable_switch_forces_sequential(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_DISABLE", "1")
-        assert parallel.effective_workers(8) == 1
-        monkeypatch.delenv("REPRO_PARALLEL_DISABLE")
-        assert parallel.effective_workers(8) == 8
 
     def test_service_reserves_workers_cluster_option(self):
         with pytest.raises(ConfigError):

@@ -2,12 +2,15 @@
 
 Each mode is tested on its own elsewhere; this suite draws points of
 the product ``coschedule`` x ``shed_expired`` x ``chip_capacity``
-(none, uniform or per-worker) x ``reconfig_cycles`` and serves one
+(none, uniform or per-worker) x ``reconfig_cycles`` x
+``worker_configs`` (none, or a mixed 16/32-PE pool) and serves one
 tiny mixed trace at ``workers`` 1 and 2. Every point must hold:
 
 * each request gets exactly one result;
 * no instance runs two batches (or gang jobs) at once;
 * ``arrival <= start <= finish`` for every served request;
+* preemption conserves time: a preempted job's ``finish - start`` is
+  its modeled service time plus the time it spent preempted;
 * the stats views over the recorded trace equal the returned
   ``ServiceStats``/``LatencyStats``;
 * ``workers=2`` is bit-identical to ``workers=1``: results, stats,
@@ -37,6 +40,7 @@ CAPACITY = 256
 # whose small instances cannot take the batch tenant's graphs.
 CAPACITIES = (None, CAPACITY, (CAPACITY, CAPACITY, 96, 160))
 CRITICAL_SLO_MS = 0.01
+WORKER_CONFIGS = (None, (CFG, CFG32, CFG, CFG32))
 
 
 def _trace(seed):
@@ -92,10 +96,12 @@ def _worker_intervals(events):
     shed_expired=st.booleans(),
     chip_capacity=st.sampled_from(CAPACITIES),
     reconfig_cycles=st.sampled_from([0, 5000]),
+    worker_configs=st.sampled_from(WORKER_CONFIGS),
     seed=st.integers(0, 5),
 )
 def test_invariants_hold_across_the_mode_product(
-    coschedule, shed_expired, chip_capacity, reconfig_cycles, seed
+    coschedule, shed_expired, chip_capacity, reconfig_cycles,
+    worker_configs, seed
 ):
     requests = _trace(seed)
     modes = {
@@ -103,6 +109,7 @@ def test_invariants_hold_across_the_mode_product(
         "shed_expired": shed_expired,
         "chip_capacity": chip_capacity,
         "reconfig_cycles": reconfig_cycles,
+        "worker_configs": worker_configs,
     }
     outcome, cache, tracer = _serve(requests, 1, **modes)
 
@@ -120,6 +127,26 @@ def test_invariants_hold_across_the_mode_product(
             continue
         assert result.arrival_time <= result.start_time
         assert result.start_time <= result.finish_time
+
+    # A preempted job's timeline stretches by exactly its preempted
+    # intervals: the service it receives is its modeled duration at
+    # the gang's reference chip (the primary member's config).
+    preempted = {}
+    for event in tracer.events:
+        if event.name == "request.preempted":
+            seq = event.args["seq"]
+            preempted[seq] = preempted.get(seq, 0.0) + event.dur
+    for seq, (request, result) in enumerate(zip(requests, outcome.results)):
+        if result.preemptions == 0:
+            assert seq not in preempted
+            continue
+        reference = (
+            request.config if worker_configs is None
+            else worker_configs[result.worker]
+        )
+        service = reference.cycles_to_seconds(result.total_cycles)
+        stretched = result.finish_time - result.start_time
+        assert abs(stretched - (service + preempted[seq])) <= 1e-12
 
     # No instance is ever double-booked: its batch, gang and resume
     # spans never overlap (up to float rounding of trimmed spans).

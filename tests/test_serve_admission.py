@@ -222,6 +222,15 @@ class TestShardedDispatch:
             InferenceService(chip_capacity=64,
                              cluster_options={"chips": (CFG_A,)})
 
+    def test_unknown_cluster_options_rejected(self):
+        # A misspelled key fails at construction, naming the valid
+        # keys, instead of at the first sharded dispatch (or never,
+        # without chip_capacity).
+        for capacity in (64, None):
+            with pytest.raises(ConfigError, match="topolgy.*'topology'"):
+                InferenceService(chip_capacity=capacity,
+                                 cluster_options={"topolgy": "ring"})
+
     def test_topology_cluster_options_forwarded(self):
         # Hop latency makes the ring's multi-hop routes strictly more
         # expensive than the single-hop all-to-all regardless of how

@@ -1,5 +1,5 @@
-"""Documentation health checks: links and file references resolve,
-quickstart runs.
+"""Documentation health checks: links, file references and API names
+resolve, quickstart runs.
 
 Two independent checks, both exercised by CI's docs job (and the link
 half by ``tests/test_docs.py``):
@@ -13,6 +13,11 @@ half by ``tests/test_docs.py``):
   and test modules — must resolve too. Globs
   (``results/mixed_load.*``) and brace lists
   (``results/straggler.{csv,txt}``) must match at least one file.
+  Every backticked dotted ``repro.…`` name in ``README.md`` and
+  ``docs/*.md`` must resolve as well: the longest importable module
+  prefix is imported (with ``src/`` put on the path here) and the rest
+  looked up attribute by attribute, so a doc row naming a function
+  that moved or was deleted fails.
 * ``--quickstart``: every ``python`` code fence in ``README.md`` is
   executed (in order, in one namespace per fence) with ``src/`` on the
   path, so the advertised snippets can never rot.
@@ -23,6 +28,7 @@ With no flags, both checks run. Exit code 0 = healthy.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import re
 import subprocess
@@ -47,12 +53,14 @@ _REF = re.compile(
     r")(?![\w/])"
 )
 _BRACES = re.compile(r"\{([^{}]*)\}")
+# A whole backticked dotted name under the package: `repro.a.b`.
+_API = re.compile(r"`(repro(?:\.\w+)+)`")
 REF_DIRS = ("src", "tests", "benchmarks", "tools")
 
 
-def _doc_files():
-    docs = [REPO_ROOT / "README.md"]
-    docs.extend(sorted((REPO_ROOT / "docs").glob("*.md")))
+def _doc_files(root=REPO_ROOT):
+    docs = [root / "README.md"]
+    docs.extend(sorted((root / "docs").glob("*.md")))
     return [path for path in docs if path.exists()]
 
 
@@ -136,6 +144,47 @@ def check_refs(root=REPO_ROOT):
     return errors
 
 
+def _resolves(dotted):
+    """Whether a dotted ``repro.…`` name names a real module or attribute."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:cut])
+        try:
+            obj = importlib.import_module(module_name)
+        except ModuleNotFoundError as exc:
+            # Only "this prefix is not a module" moves on to a shorter
+            # one; a missing dependency inside a real module surfaces.
+            if not (module_name + ".").startswith(f"{exc.name}."):
+                raise
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_api_names(root=REPO_ROOT):
+    """Verify backticked ``repro.…`` names in the docs; returns errors."""
+    root = Path(root)
+    src = str(REPO_ROOT / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    errors = []
+    for doc in _doc_files(root):
+        text = doc.read_text()
+        for match in _API.finditer(text):
+            if _resolves(match.group(1)):
+                continue
+            line = text.count("\n", 0, match.start()) + 1
+            errors.append(
+                f"{doc.relative_to(root)}:{line}: unresolved API name "
+                f"-> {match.group(1)}"
+            )
+    return errors
+
+
 def check_quickstart():
     """Run every python fence in README.md in a subprocess; returns errors."""
     readme = REPO_ROOT / "README.md"
@@ -175,8 +224,8 @@ def check_quickstart():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--links", action="store_true",
-                        help="only check markdown links and file "
-                             "references in code")
+                        help="only check markdown links, file "
+                             "references in code and API names in docs")
     parser.add_argument("--quickstart", action="store_true",
                         help="only run the README python fences")
     args = parser.parse_args(argv)
@@ -187,6 +236,7 @@ def main(argv=None):
     if run_links:
         errors.extend(check_links())
         errors.extend(check_refs())
+        errors.extend(check_api_names())
     if run_quickstart:
         errors.extend(check_quickstart())
     for error in errors:

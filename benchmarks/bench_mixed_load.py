@@ -9,7 +9,7 @@ boundary preemption + shared-fabric pricing):
 (a) at *every* swept arrival rate, co-scheduling improves SLO
     attainment or modeled throughput — it never trades both away;
 (b) the improvement is not a freebie from serving less work: both
-    modes serve every request (nothing shed, same sharded count);
+    modes serve every request (same sharded count);
 (c) the sweep exercises the sharded path at every point (the mix
     really is multi-tenant, not batch-only).
 

@@ -45,30 +45,6 @@ class TrackedTuple:
         return (self.hot, self.cold)
 
 
-@dataclass(frozen=True)
-class TuningOutcome:
-    """What one auto-tuning run produced, in cacheable form.
-
-    For callers driving :class:`RemoteAutoTuner` directly (analysis
-    notebooks, custom schedulers): ``owner`` is the frozen row->PE
-    assignment and ``warmup_makespans`` the measured makespan of every
-    pre-convergence round — enough to replay the run without the tuner.
-    The accelerator-level equivalent consumed by :mod:`repro.serve` is
-    :class:`~repro.accel.gcnaccel.CachedTuning`, built from the
-    :class:`~repro.accel.cyclemodel.SpmmResult` fields.
-    """
-
-    converged_round: object  # int | None
-    rounds_observed: int
-    owner: np.ndarray
-    warmup_makespans: tuple
-
-    @property
-    def converged(self):
-        """Whether the map froze before the workload ran out of rounds."""
-        return self.converged_round is not None
-
-
 class RemoteAutoTuner:
     """Runtime row-migration controller for one SPMM job.
 
@@ -270,26 +246,6 @@ class RemoteAutoTuner:
     def freeze_now(self):
         """Force convergence (used when the workload ends mid-tuning)."""
         self._freeze()
-
-    def outcome(self):
-        """The cacheable :class:`TuningOutcome` of this tuning run.
-
-        The warm-up trace covers every round observed before the freeze
-        (all observed rounds when the tuner never converged), so a replay
-        can reproduce the pre-convergence cycle costs without re-running
-        Eq. 5.
-        """
-        n_warmup = (
-            self.converged_round
-            if self.converged_round is not None
-            else self.round_index
-        )
-        return TuningOutcome(
-            converged_round=self.converged_round,
-            rounds_observed=self.round_index,
-            owner=self.assignment.snapshot(),
-            warmup_makespans=tuple(self.makespan_history[:n_warmup]),
-        )
 
     def _freeze(self):
         """Stop tuning and restore the best configuration seen so far."""

@@ -97,7 +97,6 @@ def compare_mixed_load(*, n_requests=120, rates=(600.0, 900.0, 1800.0),
                 ),
                 "p99_ms": round(outcome.latency.p99_ms, 4),
                 "hit_rate": round(outcome.stats.hit_rate, 4),
-                "shed_rate": round(outcome.stats.shed_rate, 4),
                 "n_sharded": outcome.stats.n_sharded,
                 "n_backfilled": outcome.stats.n_backfilled,
                 "n_preemptions": outcome.stats.n_preemptions,
@@ -105,10 +104,10 @@ def compare_mixed_load(*, n_requests=120, rates=(600.0, 900.0, 1800.0),
 
     table = ascii_table(
         ["rate", "mode", "slo_att", "crit_att", "makespan_ms", "p99_ms",
-         "hit_rate", "shed", "sharded", "backfill", "preempt"],
+         "hit_rate", "sharded", "backfill", "preempt"],
         [[r["rate"], r["mode"], r["slo_attainment"],
           r["critical_attainment"], r["makespan_ms"], r["p99_ms"],
-          r["hit_rate"], r["shed_rate"], r["n_sharded"],
+          r["hit_rate"], r["n_sharded"],
           r["n_backfilled"], r["n_preemptions"]]
          for r in rows],
         title=(

@@ -6,7 +6,7 @@ stream exercises a distinct slice of the stack:
 
 * ``serve``  — streaming batch traffic under an SLO on a 2-instance
   pool sharing one autotune cache: arrivals, batch cuts (size /
-  deadline / timeout), per-worker batch spans, cache hit/miss/store
+  deadline / flush), per-worker batch spans, cache hit/miss/store
   and per-round Eq. 5 tuner events;
 * ``shard``  — oversized jobs on a 4-instance pool: gang scheduling,
   an EASY backfill past a blocked queue head, cluster plan /
@@ -155,7 +155,7 @@ def trace_summary(name, outcome, tracer):
         (
             f"requests={stats.n_requests} batches={stats.n_batches} "
             f"sharded={stats.n_sharded} backfilled={stats.n_backfilled} "
-            f"preemptions={stats.n_preemptions} shed={stats.n_shed} "
+            f"preemptions={stats.n_preemptions} "
             f"evictions={stats.n_evictions} "
             f"makespan={stats.makespan_seconds * 1e3:.3f}ms"
         ),

@@ -269,8 +269,8 @@ def check_span_tree(events):
 
     Invariants the test suite pins: per lane, spans either nest or are
     disjoint (never partially overlap), and every ``request.arrival``
-    instant is closed by a matching ``request.complete`` or
-    ``request.shed``. Returns problem strings (empty = well-formed).
+    instant is closed by a matching ``request.complete``. Returns
+    problem strings (empty = well-formed).
     """
     problems = []
     by_lane = {}
@@ -298,7 +298,7 @@ def check_span_tree(events):
         seq = event.args.get("seq")
         if event.name == "request.arrival":
             arrivals.add(seq)
-        elif event.name in ("request.complete", "request.shed"):
+        elif event.name == "request.complete":
             closed.add(seq)
     for seq in sorted(arrivals - closed, key=str):
         problems.append(f"request span for seq {seq} never closes")

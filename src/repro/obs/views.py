@@ -33,7 +33,6 @@ def service_stats_view(events, *, wall_seconds=0.0):
     from repro.serve.service import ServiceStats
 
     done = _completions(events)
-    shed = [e for e in events if e.name == "request.shed"]
     # One "batch" span per dispatched batch; sharded jobs emit one
     # member span per gang instance, so count distinct jobs (each
     # sharded job is one batch in the service's accounting).
@@ -48,7 +47,7 @@ def service_stats_view(events, *, wall_seconds=0.0):
     hits = sum(1 for e in done if e.args.get("cache_hit"))
     utils = [e.args["utilization"] for e in done]
     return ServiceStats(
-        n_requests=len(done) + len(shed),
+        n_requests=len(done),
         n_batches=batches,
         cache_hits=hits,
         cache_misses=len(done) - hits,
@@ -57,7 +56,6 @@ def service_stats_view(events, *, wall_seconds=0.0):
         mean_utilization=sum(utils) / len(utils) if utils else 0.0,
         makespan_seconds=max((e.args["finish"] for e in done),
                              default=0.0),
-        n_shed=len(shed),
         n_sharded=sum(1 for e in done if e.args.get("n_shards", 1) > 1),
         n_backfilled=sum(1 for e in events if e.name == "backfill"),
         n_preemptions=sum(1 for e in events if e.name == "preempt"),

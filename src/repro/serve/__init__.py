@@ -16,12 +16,10 @@ time with latency SLOs. This package adds that layer:
   :func:`~repro.accel.cyclemodel.simulate_spmm_frozen`;
 * :mod:`repro.serve.service`   — the :class:`InferenceService`: an
   event-driven simulated-clock loop over a pool of simulated
-  accelerator instances sharing one :class:`AutotuneCache`, with latency percentile / SLO-attainment
-  accounting (:class:`LatencyStats`), optional admission control
-  (``shed_expired`` rejects requests whose deadline expired, reported
-  via ``ServiceStats.shed_rate``), reconfiguration pricing
-  (``reconfig_cycles`` charged when an instance switches configs
-  between batches), sharded dispatch (``chip_capacity`` plans
+  accelerator instances sharing one :class:`AutotuneCache`, with
+  latency percentile / SLO-attainment accounting
+  (:class:`LatencyStats`; a late request is served and reported as an
+  SLO miss, never shed), sharded dispatch (``chip_capacity`` plans
   oversized graphs as :mod:`repro.cluster` multi-chip jobs
   gang-scheduled across the pool), and multi-tenant co-scheduling
   (``coschedule`` adds gang claims, priority classes, boundary

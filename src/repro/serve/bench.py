@@ -136,8 +136,7 @@ def compare_caching(*, n_requests=96, n_graphs=4, n_nodes=16384, seed=7,
 def compare_latency(*, n_requests=96, n_graphs=4, n_nodes=4096, seed=7,
                     n_workers=2, n_pes=96, arrival_rate=400.0, slo_ms=None,
                     arrival="poisson", burst_size=8, max_batch=8,
-                    max_wait=None, configs=None, graph_kwargs=None,
-                    workers=1):
+                    configs=None, graph_kwargs=None, workers=1):
     """Streaming latency/SLO comparison; returns ``(rows, text)``.
 
     Serves one fixed-seed streaming trace (arrival process + optional
@@ -171,7 +170,7 @@ def compare_latency(*, n_requests=96, n_graphs=4, n_nodes=4096, seed=7,
     for mode, cache in (("no-cache", None), ("cache", True)):
         outcomes[mode] = serve_requests(
             requests, n_workers=n_workers, cache=cache,
-            max_batch=max_batch, max_wait=max_wait, workers=workers,
+            max_batch=max_batch, workers=workers,
         )
 
     cold, warm = outcomes["no-cache"], outcomes["cache"]
@@ -206,7 +205,6 @@ def compare_latency(*, n_requests=96, n_graphs=4, n_nodes=4096, seed=7,
             "slo_attained": (
                 "-" if attainment is None else round(attainment, 4)
             ),
-            "shed_rate": round(stats.shed_rate, 4),
             "makespan_s": round(stats.makespan_seconds, 4),
             "wall_s": round(stats.wall_seconds, 4),
         })
@@ -221,7 +219,6 @@ def compare_latency(*, n_requests=96, n_graphs=4, n_nodes=4096, seed=7,
         "p999_ms": "-",
         "queue_ms": "-",
         "slo_attained": "-",
-        "shed_rate": "-",
         "makespan_s": "identical" if cycles_identical else "MISMATCH",
         "wall_s": round(speedup, 2),
     })
@@ -229,12 +226,12 @@ def compare_latency(*, n_requests=96, n_graphs=4, n_nodes=4096, seed=7,
     slo_label = f"{slo_ms:g} ms SLO" if slo_ms is not None else "no SLO"
     table = ascii_table(
         ["mode", "requests", "batches", "hit rate", "p50 (ms)", "p95 (ms)",
-         "p99 (ms)", "p99.9 (ms)", "queue (ms)", "SLO att.", "shed",
+         "p99 (ms)", "p99.9 (ms)", "queue (ms)", "SLO att.",
          "makespan (s)", "wall (s)"],
         [[r["mode"], r["requests"], r["batches"], r["hit_rate"],
           r["p50_ms"], r["p95_ms"], r["p99_ms"], r["p999_ms"],
-          r["queue_ms"], r["slo_attained"], r["shed_rate"],
-          r["makespan_s"], r["wall_s"]] for r in rows],
+          r["queue_ms"], r["slo_attained"], r["makespan_s"],
+          r["wall_s"]] for r in rows],
         title=(
             f"Serving latency: {n_requests} requests over {n_graphs} RMAT "
             f"graphs ({n_nodes} nodes, {n_pes} PEs, {n_workers} instances), "

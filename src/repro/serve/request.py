@@ -184,10 +184,8 @@ class InferenceResult:
     slo_ms: float = None
     """The request's latency SLO in ms (None when it carried none)."""
     shed: bool = False
-    """True when admission control rejected the request instead of
-    serving it (its deadline had already expired at batch-cut time);
-    cycle/latency fields are zero and ``finish_time`` records the shed
-    instant."""
+    """Always False: the service serves every request, late ones
+    included (reported as SLO misses). Kept for callers that check it."""
     n_shards: int = 1
     """How many accelerator instances executed this request (1 for the
     normal single-chip path; >1 when the graph exceeded the service's

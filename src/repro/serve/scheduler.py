@@ -39,24 +39,6 @@ def _check_max_batch(max_batch):
     return check_positive_int(max_batch, "max_batch")
 
 
-def _check_max_wait(max_wait):
-    """Validate a batch timeout: None (disabled) or finite seconds >= 0."""
-    if max_wait is None:
-        return None
-    try:
-        max_wait = float(max_wait)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"max_wait must be a number or None, got "
-            f"{type(max_wait).__name__}"
-        )
-    if not math.isfinite(max_wait) or max_wait < 0.0:
-        raise ConfigError(
-            f"max_wait must be finite and >= 0, got {max_wait}"
-        )
-    return max_wait
-
-
 @dataclass(frozen=True)
 class QueuedRequest:
     """An accepted request plus its arrival sequence number."""
@@ -171,8 +153,6 @@ class StreamingScheduler:
       service time (a per-group EWMA of observed per-request modeled
       service seconds, fed back via :meth:`observe`) says the batch
       must start now to have a chance of meeting the SLO;
-    * **timeout cut** — the oldest member has waited ``max_wait``
-      seconds (bounds queueing for SLO-less traffic);
     * **flush** — the arrival stream ended (:meth:`flush`).
 
     Cut batches wait in an EDF priority queue: :meth:`pop_ready` hands
@@ -185,17 +165,6 @@ class StreamingScheduler:
     max_batch:
         Size cut threshold in requests (None = no size cuts). Positive
         int.
-    max_wait:
-        Timeout cut threshold in *simulated seconds* measured from the
-        oldest member's arrival (None = no timeout cuts).
-    shed_expired:
-        Admission control: when True, a member whose deadline has
-        already expired at the instant its batch is cut is *shed* —
-        removed from the batch and recorded in :attr:`shed_log` (the
-        service turns the log into rejected
-        :class:`~repro.serve.request.InferenceResult` outcomes) instead
-        of being served hopelessly late. Default False serves every
-        member, late or not.
     priorities:
         Priority-class mode (the co-scheduling service turns this on):
         the grouping key gains the request's
@@ -215,16 +184,13 @@ class StreamingScheduler:
     estimates — are simulated seconds on the serving loop's clock,
     never wall-clock. An SLO enters as the member's absolute deadline
     ``arrival_time + slo_ms / 1e3`` and influences *when* its batch is
-    cut and *which* ready batch dispatches first; without
-    ``shed_expired`` an expired deadline is still served (the service
-    reports it as an SLO miss).
+    cut and *which* ready batch dispatches first; an expired deadline
+    is still served (the service reports it as an SLO miss).
     """
 
-    def __init__(self, *, max_batch=None, max_wait=None, shed_expired=False,
-                 priorities=False, critical_slo_ms=None, tracer=None):
+    def __init__(self, *, max_batch=None, priorities=False,
+                 critical_slo_ms=None, tracer=None):
         self.max_batch = _check_max_batch(max_batch)
-        self.max_wait = _check_max_wait(max_wait)
-        self.shed_expired = bool(shed_expired)
         self.priorities = bool(priorities)
         self.critical_slo_ms = critical_slo_ms
         self.tracer = NULL_TRACER if tracer is None else tracer
@@ -235,9 +201,6 @@ class StreamingScheduler:
         self._estimates = {}
         self._ready = []
         self._n_dispatched = 0
-        self.shed_log = []
-        """``(QueuedRequest, shed_time)`` pairs of rejected members, in
-        shed order; the service drains it via :meth:`take_shed`."""
 
     @property
     def pending(self):
@@ -254,7 +217,7 @@ class StreamingScheduler:
 
         Seals the group immediately when it reaches ``max_batch``;
         ``now`` (defaulting to the item's arrival instant) is the
-        batch-cut time a size cut is stamped with for shedding.
+        batch-cut time a size cut is stamped with.
         """
         if not isinstance(item, QueuedRequest):
             raise ConfigError(
@@ -276,9 +239,8 @@ class StreamingScheduler:
 
         ``(config, a_hops)``; with :attr:`priorities` the
         priority class is appended so batches stay priority-pure. The
-        first two elements are always the reconfiguration surface — the
-        service keys instance state and service-time estimates off
-        ``key[:2]``.
+        first two elements are always the hardware surface that
+        service-time estimates are keyed by (``key[:2]``).
         """
         key = (request.config, request.a_hops)
         if self.priorities:
@@ -309,31 +271,20 @@ class StreamingScheduler:
         """
         return self._estimates.get((config, a_hops), 0.0)
 
-    def _cut_decision(self, key):
-        """``(when, reason)`` — the instant this group must be sealed.
-
-        ``reason`` is ``"deadline"`` when the tightest member deadline
-        minus the estimated batch service time binds, ``"timeout"``
-        when the oldest member's ``max_wait`` clock cuts earlier.
-        """
+    def _cut_time(self, key):
+        """The instant this group must be sealed: its tightest member
+        deadline minus the estimated batch service time."""
         group = self._groups[key]
         tightest = min(item.deadline for item in group)
         # Estimates are keyed by the hardware surface alone — the
         # priority suffix of a 3-element group key carries no service
         # time information.
-        estimate = self._estimates.get(key[:2], 0.0) * len(group)
-        when = tightest - estimate
-        reason = "deadline"
-        if self.max_wait is not None:
-            timeout = group[0].arrival_time + self.max_wait
-            if timeout < when:
-                when, reason = timeout, "timeout"
-        return when, reason
+        return tightest - self._estimates.get(key[:2], 0.0) * len(group)
 
     def next_cut_time(self):
         """Earliest second any live group needs cutting (inf if none)."""
         times = [
-            self._cut_decision(key)[0]
+            self._cut_time(key)
             for key in self._order if self._groups.get(key)
         ]
         return min(times) if times else math.inf
@@ -343,16 +294,12 @@ class StreamingScheduler:
 
         ``now`` is the current simulated-clock second. A group is due
         when its tightest member deadline minus the estimated batch
-        service time, or its oldest member's ``max_wait`` timeout,
-        is at or before ``now``.
+        service time is at or before ``now``.
         """
         cut = 0
         for key in self._order:
-            if not self._groups.get(key):
-                continue
-            when, reason = self._cut_decision(key)
-            if when <= now:
-                self._cut(key, now, reason=reason)
+            if self._groups.get(key) and self._cut_time(key) <= now:
+                self._cut(key, now, reason="deadline")
                 cut += 1
         return cut
 
@@ -360,37 +307,16 @@ class StreamingScheduler:
         """Seal every live group (the arrival stream has ended).
 
         ``now`` is the simulated instant of the flush — the batch-cut
-        time stamped on any members shed here.
+        time the sealed batches are stamped with.
         """
         for key in self._order:
             if self._groups.get(key):
                 self._cut(key, now, reason="flush")
 
-    def take_shed(self):
-        """Drain and return the accumulated shed log."""
-        shed, self.shed_log = self.shed_log, []
-        return shed
-
     def _cut(self, key, now, *, reason="flush"):
-        """Seal one group into the EDF-ordered ready queue.
-
-        With ``shed_expired``, members whose deadline lies strictly
-        before ``now`` are logged as shed instead of sealed; a group
-        whose members all expired produces no batch (and no
-        ``batch.cut`` event — only sealed batches trace).
-        """
+        """Seal one group into the EDF-ordered ready queue."""
         items = self._groups[key]
         self._groups[key] = []
-        if self.shed_expired:
-            live = []
-            for item in items:
-                if item.deadline < now:
-                    self.shed_log.append((item, now))
-                else:
-                    live.append(item)
-            items = live
-            if not items:
-                return
         if self.tracer.enabled:
             args = {
                 "reason": reason,

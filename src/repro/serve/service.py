@@ -58,6 +58,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, fields, replace
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -74,9 +75,8 @@ from repro.serve.scheduler import (
     RequestQueue,
     StreamingScheduler,
     _check_max_batch,
-    _check_max_wait,
 )
-from repro.utils.validation import check_non_negative_int, check_positive_int
+from repro.utils.validation import check_positive_int
 
 
 @dataclass
@@ -92,15 +92,8 @@ class WorkerState:
     """Simulated second the instance finishes its current batch."""
     modeled_busy_seconds: float = 0.0
     """Simulated seconds the instance was occupied: from the moment it
-    is claimed for a batch (including any reconfiguration penalty) to
-    the batch's finish. Gang members of a sharded job each accrue the
-    full sharded duration."""
-    last_key: object = None
-    """The (config, a_hops) pair the instance is currently configured
-    for (None until its first batch)."""
-    reconfigs: int = 0
-    """How many times the instance switched configurations between
-    batches (each charged ``reconfig_cycles`` when that is non-zero)."""
+    is claimed for a batch to the batch's finish. Gang members of a
+    sharded job each accrue the full sharded duration."""
 
 
 class _ScreenCache:
@@ -177,14 +170,16 @@ def percentile(values, q):
 
     Deterministic and library-independent so golden latency numbers pin
     exactly: the result is always one of the observed values, never an
-    interpolation.
+    interpolation. The rank is computed in exact decimal arithmetic —
+    in floats ``99.9 / 100 * 1000`` is ``999.0000000000001``, whose
+    ceiling would skip to rank 1000.
     """
     if not 0.0 < q <= 100.0:
         raise ConfigError(f"percentile q must be in (0, 100], got {q}")
     ordered = sorted(values)
     if not ordered:
         return 0.0
-    rank = math.ceil(q / 100.0 * len(ordered))
+    rank = math.ceil(Fraction(str(q)) * len(ordered) / 100)
     return ordered[max(rank, 1) - 1]
 
 
@@ -222,13 +217,7 @@ class LatencyStats:
 
     @classmethod
     def from_results(cls, results):
-        """Fold per-request results into latency statistics.
-
-        Shed requests are excluded — they were never served, so they
-        have no latency; the shed rate lives in
-        :attr:`ServiceStats.shed_rate`.
-        """
-        results = [r for r in results if not r.shed]
+        """Fold per-request results into latency statistics."""
         latencies = [r.e2e_ms for r in results]
         queues = [r.queue_ms for r in results]
         with_slo = [r for r in results if r.slo_ms is not None]
@@ -259,9 +248,6 @@ class ServiceStats:
     mean_utilization: float
     makespan_seconds: float = 0.0
     """Simulated seconds from clock zero to the last request's finish."""
-    n_shed: int = 0
-    """Requests rejected by admission control (``shed_expired``);
-    counted inside ``n_requests``."""
     n_sharded: int = 0
     """Requests served as multi-chip sharded jobs (``chip_capacity``)."""
     n_backfilled: int = 0
@@ -273,11 +259,6 @@ class ServiceStats:
     n_evictions: int = 0
     """Autotune-cache entries the LRU bound evicted during this drain
     (0 without a bounded cache)."""
-
-    @property
-    def shed_rate(self):
-        """Fraction of admitted requests shed instead of served."""
-        return self.n_shed / self.n_requests if self.n_requests else 0.0
 
     @property
     def hit_rate(self):
@@ -325,47 +306,21 @@ class InferenceService:
     max_batch:
         Optional cap on batch size; a config group is sealed as soon as
         it accumulates this many requests.
-    max_wait:
-        Optional bound (simulated seconds) on how long a sealed-pending
-        request may wait for its batch to fill — the batch timeout that
-        keeps SLO-less streaming traffic from queueing indefinitely.
-        None disables it (batches then cut on size, deadline slack or
-        end of stream only).
-    shed_expired:
-        Admission control: shed (reject, with a recorded outcome)
-        requests whose deadline has already expired at batch-cut time —
-        or by the time their sealed batch reaches an instance, the
-        point where queueing under load actually expires deadlines —
-        instead of serving them hopelessly late. Shed requests come
-        back with ``InferenceResult.shed`` True and zeroed cycle
-        fields; the shed rate is reported in
-        :attr:`ServiceStats.shed_rate`. Default False serves late
-        requests and reports them as SLO misses.
-    reconfig_cycles:
-        Cycle penalty charged when an instance switches its
-        ``(config, a_hops)`` between consecutive batches (converted to
-        simulated seconds at the incoming config's clock and added
-        before service starts). Default 0 models free switching, which
-        flatters small batches.
     chip_capacity:
-        Per-instance node-count capacity: one int for a uniform pool,
-        or a sequence of ``n_workers`` ints for a heterogeneous one. A
-        request whose graph exceeds the pool's largest capacity is
-        planned as a *sharded job*: it gang-schedules the smallest
-        index-ordered set of free instances whose capacities cover the
-        graph (``ceil(n_nodes / chip_capacity)`` instances in the
-        uniform case, clamped to the pool size; instances whose
-        *expected* capacity-proportional share would overflow are left
-        out of the gang, and the *actual* constrained plan is validated
-        before dispatch — a gang whose real nnz-balanced shards would
-        overfill a member re-gangs wider) and executes through
-        the :mod:`repro.cluster` multi-chip model with the members'
-        capacities enforced as hard per-chip row ceilings, occupying
-        all participating instances for the sharded duration; the
-        shared ``AutotuneCache`` is keyed per shard. Only pool-clamped
-        jobs (graphs even the whole pool cannot cover) run with
-        capacities as best-effort estimates. None (default) disables
-        sharding — oversized graphs run single-instance.
+        Node-count capacity of every instance (one positive int). A
+        request whose graph exceeds it is planned as a *sharded job*:
+        it gang-schedules the smallest index-ordered set of free
+        instances that covers the graph (``ceil(n_nodes /
+        chip_capacity)`` instances, clamped to the pool size; the
+        *actual* constrained plan is validated before dispatch — a gang
+        whose real nnz-balanced shards would overfill a member re-gangs
+        wider) and executes through the :mod:`repro.cluster` multi-chip
+        model with the capacity enforced as a hard per-chip row
+        ceiling, occupying all participating instances for the sharded
+        duration; the shared ``AutotuneCache`` is keyed per shard. Only
+        pool-clamped jobs (graphs even the whole pool cannot cover) run
+        with the capacity as a best-effort estimate. None (default)
+        disables sharding — oversized graphs run single-instance.
         Sharded jobs dispatch earliest-deadline-first with
         oldest-arrival tie-break, which degenerates to FIFO when no
         request carries an ``slo_ms``.
@@ -374,19 +329,7 @@ class InferenceService:
         overrides for sharded jobs (e.g. ``link_words_per_cycle``,
         ``topology``, ``overlap``, ``rebalance_signal``); ``n_chips``,
         ``chip``, ``chips`` and ``row_ceilings`` are always derived
-        from the job itself.
-    worker_configs:
-        Optional per-instance :class:`~repro.accel.ArchConfig` sequence
-        (length ``n_workers``) describing a heterogeneous hardware
-        pool. Sharded jobs then run on the *participating instances'
-        own configs* — a :class:`~repro.cluster.ClusterConfig` with one
-        ``chips`` entry per gang member — instead of replicating the
-        request's config, and the capacity-normalized cluster
-        partitioner spreads the graph accordingly. None (default)
-        models a uniform pool. Single-instance batches
-        still simulate at the request's config (the request defines the
-        workload's target architecture; sharding is where the pool's
-        physical heterogeneity binds).
+        from the job itself (every chip runs the request's config).
     workers:
         Host processes running the underlying simulations
         (:mod:`repro.parallel`): independent queued requests are
@@ -409,8 +352,8 @@ class InferenceService:
         request via
         :meth:`~repro.serve.request.InferenceRequest.priority_class`;
         (3) *boundary preemption*: a class-0 (deadline-critical) batch
-        with no free fitting instance preempts the lower-priority
-        active sharded job with the earliest upcoming layer boundary —
+        with no free instance preempts the lower-priority active
+        sharded job with the earliest upcoming layer boundary —
         the gang frees at that boundary, one granted member serves the
         critical batch, and the remainder resumes on the same gang with
         the modeled cycle total conserved; (4) *fabric sharing*:
@@ -437,10 +380,10 @@ class InferenceService:
     Units
     -----
     Two clocks must never mix (see the module docstring). Everything
-    scheduling-related — ``arrival_time``, ``max_wait``, deadlines,
-    ``free_at``, the ``start_time``/``finish_time`` of results,
-    ``LatencyStats`` — is *simulated* time: seconds of modeled hardware
-    derived from cycle counts via
+    scheduling-related — ``arrival_time``, deadlines, ``free_at``, the
+    ``start_time``/``finish_time`` of results, ``LatencyStats`` — is
+    *simulated* time: seconds of modeled hardware derived from cycle
+    counts via
     :meth:`~repro.accel.ArchConfig.cycles_to_seconds` (latencies are
     reported in simulated *milliseconds*). Only
     ``ServiceStats.wall_seconds``, ``WorkerState.busy_seconds`` and
@@ -453,21 +396,16 @@ class InferenceService:
     ``arrival_time + slo_ms / 1e3`` (simulated seconds). Deadlines
     steer scheduling twice — the tightest member deadline decides when
     a pending batch must be cut, and sealed batches dispatch
-    earliest-deadline-first — and, by default, are never enforced by
-    shedding: a request whose deadline already passed is still served
-    and simply reported as a miss (``InferenceResult.slo_met`` False,
-    aggregated into :attr:`LatencyStats.slo_attainment`). With
-    ``shed_expired`` the front door sheds such requests at batch-cut
-    time instead (recorded outcome, counted in
-    :attr:`ServiceStats.shed_rate`). Requests without an SLO never
-    expire and degrade to FIFO order.
+    earliest-deadline-first — and are never enforced by shedding: a
+    request whose deadline already passed is still served and simply
+    reported as a miss (``InferenceResult.slo_met`` False, aggregated
+    into :attr:`LatencyStats.slo_attainment`). Requests without an SLO
+    never expire and degrade to FIFO order.
     """
 
     def __init__(self, *, n_workers=2, cache=True, max_batch=None,
-                 max_wait=None, shed_expired=False, reconfig_cycles=0,
-                 chip_capacity=None, cluster_options=None,
-                 worker_configs=None, workers=1, coschedule=False,
-                 critical_slo_ms=None, tracer=None):
+                 chip_capacity=None, cluster_options=None, workers=1,
+                 coschedule=False, critical_slo_ms=None, tracer=None):
         check_positive_int(n_workers, "n_workers")
         self.sim_workers = check_positive_int(workers, "workers")
         self.tracer = NULL_TRACER if tracer is None else tracer
@@ -488,42 +426,12 @@ class InferenceService:
             cache.tracer = self.tracer
         self.queue = RequestQueue()
         self.max_batch = _check_max_batch(max_batch)
-        self.max_wait = _check_max_wait(max_wait)
-        self.shed_expired = bool(shed_expired)
-        self.reconfig_cycles = check_non_negative_int(
-            reconfig_cycles, "reconfig_cycles"
-        )
         if chip_capacity is not None:
-            if not isinstance(chip_capacity, (list, tuple)):
-                chip_capacity = (chip_capacity,) * n_workers
-            chip_capacity = tuple(
-                check_positive_int(cap, "chip_capacity")
-                for cap in chip_capacity
-            )
-            if len(chip_capacity) != n_workers:
-                raise ConfigError(
-                    f"chip_capacity must have one entry per worker "
-                    f"({n_workers}), got {len(chip_capacity)}"
-                )
+            chip_capacity = check_positive_int(chip_capacity,
+                                               "chip_capacity")
         self.chip_capacity = chip_capacity
-        """Per-instance node capacities (one entry per worker), or None
-        when sharding is off."""
-        if worker_configs is not None:
-            worker_configs = tuple(worker_configs)
-            if len(worker_configs) != n_workers:
-                raise ConfigError(
-                    f"worker_configs must have one ArchConfig per worker "
-                    f"({n_workers}), got {len(worker_configs)}"
-                )
-            from repro.accel.config import ArchConfig
-
-            for cfg in worker_configs:
-                if not isinstance(cfg, ArchConfig):
-                    raise ConfigError(
-                        "worker_configs entries must be ArchConfig, got "
-                        f"{type(cfg).__name__}"
-                    )
-        self.worker_configs = worker_configs
+        """Node capacity of every instance, or None when sharding is
+        off."""
         self.cluster_options = dict(cluster_options or {})
         reserved = ("n_chips", "chip", "chips", "row_ceilings", "workers",
                     "background_link_loads")
@@ -623,8 +531,7 @@ class InferenceService:
         # the event loop replay them in its own sequential order
         # (repro.parallel's bit-identity protocol). Sharded jobs
         # parallelize at chip level inside simulate_multichip_gcn
-        # instead. A request shed later simply wastes its presimulation
-        # — host work, never a modeled cycle.
+        # instead.
         self._presim = {}
         if self.sim_workers > 1 and queued:
             from repro.parallel import presimulate
@@ -648,8 +555,7 @@ class InferenceService:
         cap = self.max_batch
         if cap is None and len(self.workers) > 1:
             cap = -(-len(queued) // len(self.workers)) or None
-        stream = StreamingScheduler(max_batch=cap, max_wait=self.max_wait,
-                                    shed_expired=self.shed_expired,
+        stream = StreamingScheduler(max_batch=cap,
                                     priorities=self.coschedule,
                                     critical_slo_ms=self.critical_slo_ms,
                                     tracer=tr)
@@ -691,20 +597,17 @@ class InferenceService:
                 else:
                     stream.admit(item, now=clock)
                 i += 1
-            # Seal groups whose deadline slack (or batch timeout) is up.
+            # Seal groups whose deadline slack is up.
             stream.cut_due(clock)
             # The arrival stream has ended: nothing more can join a
             # group, so seal the remainder.
             if i >= n:
                 stream.flush(now=clock)
-            # Record anything admission control shed at the cuts above.
-            for item, when in stream.take_shed():
-                results.append((item.seq, self._shed_result(item, when)))
             # Sharded jobs dispatch first, in priority-then-EDF order
             # with oldest-arrival tie-break (plain FIFO when nothing
             # carries an SLO), whenever enough instances are
             # simultaneously idle; they gang-schedule the lowest-indexed
-            # free instances whose capacities cover the graph. The queue
+            # free instances that cover the graph. The queue
             # head never gets *delayed*: a blocked head plans its gang
             # on the pool's free_at timeline (EASY reservation), and a
             # later job may only backfill onto idle instances when that
@@ -717,10 +620,6 @@ class InferenceService:
             while sharded:
                 head_at = self._sharded_head(sharded)
                 head = sharded[head_at]
-                if self.shed_expired and head.deadline < clock:
-                    sharded.pop(head_at)
-                    results.append((head.seq, self._shed_result(head, clock)))
-                    continue
                 free = [w for w in self.workers
                         if w.free_at <= clock and w.index not in claims]
                 picked = self._shard_gang(free, head.request)
@@ -756,8 +655,6 @@ class InferenceService:
                 )
                 for j in order:
                     cand = sharded[j]
-                    if self.shed_expired and cand.deadline < clock:
-                        continue
                     unreserved = [
                         w for w in free if w.index not in head_gang
                     ]
@@ -771,9 +668,7 @@ class InferenceService:
                                                   clamp=False)
                         if picked is not None:
                             gang, constrained = picked
-                            would_end = self._gang_start(
-                                gang, cand.request, clock
-                            ) + self._screen_duration(
+                            would_end = clock + self._screen_duration(
                                 cand, gang, constrained, clock
                             )
                             if would_end > t_head:
@@ -798,20 +693,16 @@ class InferenceService:
                     break
             # Hand sealed batches, tightest deadline first (class-major
             # under co-scheduling), to free instances (lowest index when
-            # several are free). With per-worker capacities, only an
-            # instance that fits the batch's largest graph qualifies — a
-            # small chip must not receive a graph its capacity says it
-            # cannot hold. Claimed instances (gang reservations, pending
-            # resumes) take no new batch; a deadline-critical batch with
-            # nowhere to go may arm a boundary preemption instead.
+            # several are free). Claimed instances (gang reservations,
+            # pending resumes) take no new batch; a deadline-critical
+            # batch with nowhere to go may arm a boundary preemption
+            # instead.
             claimed = claims | reserved
             while stream.ready:
-                items = stream.peek_ready()
-                needed = self._batch_nodes(items)
-                worker = self._free_worker(clock, needed, claimed=claimed)
+                worker = self._free_worker(clock, claimed=claimed)
                 if worker is None:
                     if self._active:
-                        self._maybe_preempt(items, needed, clock)
+                        self._maybe_preempt(stream.peek_ready(), clock)
                     break
                 for entry in self._active:
                     if (entry.preempted and not entry.grant_used
@@ -839,11 +730,9 @@ class InferenceService:
                 horizon.append(stream.next_cut_time())
             claimed = self._resume_claims() | reserved
             if stream.ready:
-                needed = self._batch_nodes(stream.peek_ready())
                 frees = [
                     w.free_at for w in self.workers
-                    if self._worker_fits(w.index, needed)
-                    and w.index not in claimed
+                    if w.index not in claimed
                 ]
                 if frees:
                     horizon.append(min(frees))
@@ -895,31 +784,14 @@ class InferenceService:
             latency=LatencyStats.from_results(results),
         )
 
-    @staticmethod
-    def _batch_nodes(items):
-        """The largest member graph of a (peeked) batch, in nodes."""
-        return max(item.request.graph_nodes() for item in items)
-
-    def _worker_fits(self, index, nodes):
-        """Whether one instance's declared capacity covers ``nodes``.
-
-        Unconstrained without ``chip_capacity``; with a uniform
-        capacity every non-sharded request fits every instance, so the
-        check only bites on heterogeneous per-worker capacities.
-        """
-        if self.chip_capacity is None:
-            return True
-        return self.chip_capacity[index] >= nodes
-
-    def _free_worker(self, clock, nodes=0, claimed=frozenset()):
-        """The lowest-indexed fitting instance idle at ``clock``, or None.
+    def _free_worker(self, clock, claimed=frozenset()):
+        """The lowest-indexed instance idle at ``clock``, or None.
 
         ``claimed`` instances (reserved for a waiting gang or a pending
         resume under ``coschedule``) are passed over even when idle.
         """
         for worker in self.workers:
-            if (worker.free_at <= clock and worker.index not in claimed
-                    and self._worker_fits(worker.index, nodes)):
+            if worker.free_at <= clock and worker.index not in claimed:
                 return worker
         return None
 
@@ -928,10 +800,10 @@ class InferenceService:
         return self.cache.stats.evictions if self.cache is not None else 0
 
     def _needs_sharding(self, request):
-        """Whether a request's graph exceeds every instance's capacity."""
+        """Whether a request's graph exceeds the instance capacity."""
         if self.chip_capacity is None:
             return False
-        return request.graph_nodes() > max(self.chip_capacity)
+        return request.graph_nodes() > self.chip_capacity
 
     def _class_of(self, request):
         """The request's effective priority class under this service."""
@@ -967,67 +839,12 @@ class InferenceService:
                 head = i
         return head
 
-    def _member_config(self, index, default):
-        """The :class:`~repro.accel.ArchConfig` instance ``index`` runs
-        its share of a sharded job at: its own with ``worker_configs``,
-        ``default`` (the request's config) in a uniform pool."""
-        if self.worker_configs is None:
-            return default
-        return self.worker_configs[index]
-
-    def _compute_capacity_of(self, index):
-        """Relative compute throughput of one instance (gang split key)."""
-        cfg = self._member_config(index, None)
-        return 1.0 if cfg is None else cfg.n_pes * cfg.frequency_mhz
-
-    def _fit_gang(self, candidates, nodes):
-        """The covering gang inside ``candidates``, or None.
-
-        The cluster partitioner splits work in proportion to *compute*
-        capacity, so each member's *expected* share of the nodes must
-        fit its declared node capacity — a small chip is not
-        gang-scheduled next to a big one when even its proportional
-        share would overflow. Members whose expected share overflows
-        are pruned (their load redistributes) until the gang is
-        feasible or empty. Pruning depends only on the candidate *set*,
-        and a feasible gang survives pruning of any superset (shares
-        only shrink as members are added), so this finds a covering
-        gang iff the candidate set contains one. Uniform pools reduce
-        to ``ceil(nodes / capacity)`` sizing exactly:
-        ``nodes / k <= capacity`` iff ``k * capacity >= nodes``, and
-        nothing is ever pruned.
-
-        The expected share is only a provisioning estimate — the
-        partitioner balances *nnz*, so on skewed graphs a chip's actual
-        row count can deviate from its proportional share. The hard
-        guarantee lives one level down: :meth:`_shard_gang` validates
-        the *actual* constrained plan (:meth:`_plan_fits`, worker
-        capacities as :func:`~repro.cluster.partition.make_plan` row
-        ceilings) before committing a gang, and the sharded run itself
-        executes under those ceilings, so no instance is ever handed
-        more rows than its declared capacity.
-        """
-        gang = list(candidates)
-        while gang:
-            total = sum(
-                self._compute_capacity_of(w.index) for w in gang
-            )
-            kept = [
-                worker for worker in gang
-                if nodes * self._compute_capacity_of(worker.index) / total
-                <= self.chip_capacity[worker.index]
-            ]
-            if len(kept) == len(gang):
-                return gang
-            gang = kept
-        return None
-
     def _gang_cluster(self, workers, request, *, constrained=True,
                       clock=None):
         """The :class:`ClusterConfig` a sharded run on ``workers`` uses.
 
-        Chips run at their :meth:`_member_config`; ``constrained``
-        makes the members' node capacities hard row ceilings. With
+        Every chip runs the request's config; ``constrained`` makes
+        the node capacity a hard per-chip row ceiling. With
         ``clock`` (a dispatch at that instant, or its backfill screen)
         a co-scheduled gang runs on its restriction of the pool fabric,
         priced against the link loads of the jobs active at ``clock``.
@@ -1045,13 +862,10 @@ class InferenceService:
                 )
         ceilings = None
         if constrained and self.chip_capacity is not None:
-            ceilings = tuple(self.chip_capacity[w.index] for w in workers)
+            ceilings = (self.chip_capacity,) * len(workers)
         return ClusterConfig(
             n_chips=len(workers),
-            chips=tuple(
-                self._member_config(w.index, request.config)
-                for w in workers
-            ),
+            chip=request.config,
             row_ceilings=ceilings,
             workers=self.sim_workers,
             **opts,
@@ -1060,12 +874,12 @@ class InferenceService:
     def _plan_fits(self, gang, request):
         """Whether the *actual* constrained plan is feasible on ``gang``.
 
-        :meth:`_fit_gang`'s proportional-share check is an estimate; on
-        a skewed graph the real nnz-balanced plan can hand a member
-        more rows than its declared capacity. This builds the very plan
-        the sharded run would use — same strategy, block granularity
-        and capacities, with the members' capacities as hard row
-        ceilings — and reports whether it exists. The graph build is
+        :meth:`_first_gang`'s even-share check is an estimate; on a
+        skewed graph the real nnz-balanced plan can hand a member more
+        rows than its capacity. This builds the very plan the sharded
+        run would use — same strategy, block granularity and
+        capacities, with the node capacity as a hard row ceiling — and
+        reports whether it exists. The graph build is
         memoized per spec, so repeated validation during gang scans
         stays cheap.
         """
@@ -1089,17 +903,15 @@ class InferenceService:
     def _shard_gang(self, free, request, *, clamp=True):
         """The gang a sharded request runs on: ``(gang, constrained)``.
 
-        The first index-ordered prefix of ``free`` containing a gang
-        that passes both the proportional-share screen
-        (:meth:`_fit_gang`) and actual-plan validation
-        (:meth:`_plan_fits`) — ``ceil(nodes / capacity)`` instances in
-        the uniform case, more when the real plan overfills a member
-        (the job re-gangs wider instead of silently overfilling).
-        ``constrained`` True means the run enforces the members'
-        capacities as hard row ceilings. When even the whole pool holds
-        no feasible gang the job is pool-clamped onto every instance
-        with ``constrained`` False (capacities become best-effort — the
-        pool physically cannot honor them); otherwise an insufficient
+        The shortest index-ordered prefix of ``free`` that
+        :meth:`_first_gang` accepts — ``ceil(nodes / capacity)``
+        instances, more when the real plan overfills a member (the job
+        re-gangs wider instead of silently overfilling).
+        ``constrained`` True means the run enforces the capacity as a
+        hard row ceiling. When even the whole pool holds no feasible
+        gang the job is pool-clamped onto every instance with
+        ``constrained`` False (the capacity becomes best-effort — the
+        pool physically cannot honor it); otherwise an insufficient
         *free* set returns None and the job waits for more instances to
         idle. ``clamp=False`` disables the pool-clamp fallback — the
         backfill path uses it so only the queue head may ever
@@ -1117,11 +929,10 @@ class InferenceService:
 
         Scans non-excluded instances in ``free_at`` order (index-stable
         on ties): at each instant the candidate set is exactly the set
-        :meth:`_shard_gang` will see, and its combined predicate
-        (:meth:`_fit_gang` plus :meth:`_plan_fits`) is
-        order-independent, so the returned time is one at which
-        dispatch really succeeds — the event loop never advances to a
-        horizon that cannot make progress. The fallback (every instance
+        :meth:`_shard_gang` will see, and the :meth:`_first_gang`
+        predicate is order-independent, so the returned time is one at
+        which dispatch really succeeds — the event loop never advances
+        to a horizon that cannot make progress. The fallback (every instance
         idle) is exactly the pool-clamp case, which always dispatches.
         ``exclude`` (claimed instances under ``coschedule``) shrinks
         the candidate pool; None when no feasible plan exists inside
@@ -1142,11 +953,22 @@ class InferenceService:
 
     def _first_gang(self, candidates, request):
         """``(end, gang)`` for the shortest prefix ``candidates[:end]``
-        holding a :meth:`_fit_gang` gang that :meth:`_plan_fits`."""
+        whose even share of the graph fits the capacity
+        (``nodes <= end * capacity``) and whose actual plan
+        :meth:`_plan_fits`.
+
+        The even-share screen is only a provisioning estimate — the
+        partitioner balances *nnz*, so on skewed graphs a chip's actual
+        row count can exceed its share. The hard guarantee is the
+        :meth:`_plan_fits` validation, and the sharded run itself
+        executes under the same row ceilings, so no instance is ever
+        handed more rows than its capacity.
+        """
         nodes = request.graph_nodes()
         for end in range(1, len(candidates) + 1):
-            gang = self._fit_gang(candidates[:end], nodes)
-            if gang and self._plan_fits(gang, request):
+            gang = candidates[:end]
+            if (nodes <= end * self.chip_capacity
+                    and self._plan_fits(gang, request)):
                 return end, gang
         return None
 
@@ -1243,30 +1065,23 @@ class InferenceService:
             if entry.preempted or entry.finish > clock
         ]
 
-    def _maybe_preempt(self, items, needed, clock):
+    def _maybe_preempt(self, items, clock):
         """Boundary-preempt one active job for a critical batch.
 
         Fires only when the pending batch's best member class is 0
-        (deadline-critical) and no fitting instance is free. Among
-        active lower-priority jobs, picks the one with the earliest
-        upcoming layer boundary that beats the batch's natural wait
-        (the earliest fitting ``free_at``) and has a member the batch
-        fits on. The gang frees at that boundary; the lowest-indexed
-        fitting member becomes the batch's *grant*, the rest stay
-        claimed for the resume. Returns True when a preemption was
+        (deadline-critical) and no instance is free. Among active
+        lower-priority jobs, picks the one with the earliest upcoming
+        layer boundary that beats the batch's natural wait (the
+        earliest ``free_at``). The gang frees at that boundary; its
+        lowest-indexed member becomes the batch's *grant*, the rest
+        stay claimed for the resume. Returns True when a preemption was
         armed (the caller re-evaluates once the clock reaches the
         boundary).
         """
         cls = min(self._class_of(item.request) for item in items)
         if cls != 0:
             return False
-        fits = [
-            worker.free_at for worker in self.workers
-            if self._worker_fits(worker.index, needed)
-        ]
-        if not fits:
-            return False
-        natural = min(fits)
+        natural = min(worker.free_at for worker in self.workers)
         best = None
         for entry in self._active:
             if (entry.preempted or entry.finish <= clock
@@ -1279,15 +1094,8 @@ class InferenceService:
             boundary = entry.boundaries[0]
             if not clock < boundary < natural:
                 continue
-            member = next(
-                (worker for worker in
-                 sorted(entry.gang, key=lambda w: w.index)
-                 if self._worker_fits(worker.index, needed)),
-                None,
-            )
-            if member is None:
-                continue
             if best is None or boundary < best[0]:
+                member = min(entry.gang, key=lambda w: w.index)
                 best = (boundary, entry, member)
         if best is None:
             return False
@@ -1390,87 +1198,27 @@ class InferenceService:
                     ))
                     break
 
-    def _shed_result(self, item, when):
-        """The recorded outcome of a request shed at simulated ``when``."""
-        request = item.request
-        if self.tracer.enabled:
-            self.tracer.instant("request.shed", ts=when, args={
-                "seq": item.seq,
-                "slo_ms": request.slo_ms,
-                "waited_ms": (when - request.arrival_time) * 1e3,
-            })
-        return InferenceResult(
-            request_id=request.request_id,
-            dataset=getattr(request.graph, "name", "custom"),
-            fingerprint="",
-            total_cycles=0,
-            latency_ms=0.0,
-            utilization=0.0,
-            cache_hit=False,
-            worker=-1,
-            batch=-1,
-            sim_seconds=0.0,
-            arrival_time=request.arrival_time,
-            start_time=when,
-            finish_time=when,
-            slo_ms=request.slo_ms,
-            shed=True,
-        )
-
-    def _switch_start(self, worker, key, config, start):
-        """``start`` plus any reconfiguration penalty ``worker`` pays
-        to switch to ``key``; pure (:meth:`_reconfigure` commits it)."""
-        if (worker.last_key is not None and worker.last_key != key
-                and self.reconfig_cycles):
-            return start + config.cycles_to_seconds(self.reconfig_cycles)
-        return start
-
-    def _reconfigure(self, worker, key, config, start):
-        """Track a config switch; returns ``start`` plus any penalty."""
-        begin = self._switch_start(worker, key, config, start)
-        if worker.last_key is not None and worker.last_key != key:
-            worker.reconfigs += 1
-        worker.last_key = key
-        return begin
-
-    def _gang_start(self, workers, request, clock, *, commit=False):
-        """When a gang dispatched at ``clock`` starts: the slowest
-        member's reconfiguration gates it. ``commit`` records the
-        switches; the backfill screen leaves worker state untouched."""
-        step = self._reconfigure if commit else self._switch_start
-        starts = []
-        for worker in workers:
-            config = self._member_config(worker.index, request.config)
-            starts.append(
-                step(worker, (config, request.a_hops), config, clock)
-            )
-        return max(starts)
-
     def _serve_sharded(self, item, workers, clock, results, *,
                        constrained=True, backfill=False):
         """Run one oversized request as a multi-chip job on ``workers``.
 
-        All participating instances gang-schedule: service starts once
-        every one of them is reconfigured (the slowest switch gates the
-        start) and they stay busy until the synchronized sharded run
-        finishes. With ``worker_configs`` the cluster is built from the
-        gang members' own configs (a heterogeneous multi-chip job);
-        otherwise every chip replicates the request's config. The
-        shared autotune cache is passed down, so each shard's tuning
-        state is cached independently per chip config.
+        All participating instances gang-schedule: service starts at
+        dispatch and they stay busy until the synchronized sharded run
+        finishes. Every chip runs the request's config. The shared
+        autotune cache is passed down, so each shard's tuning state is
+        cached independently.
 
         With ``constrained`` (the normal :meth:`_shard_gang` outcome)
-        the members' node capacities become hard
-        :attr:`~repro.cluster.ClusterConfig.row_ceilings` of the
-        cluster plan — the partitioner and every rebalancing migration
-        keep each shard within its instance's declared capacity.
+        the node capacity becomes a hard
+        :attr:`~repro.cluster.ClusterConfig.row_ceilings` entry of
+        every chip — the partitioner and every rebalancing migration
+        keep each shard within its instance's capacity.
         Pool-clamped jobs run unconstrained (best effort, the pool
         cannot cover the graph).
         """
         from repro.datasets.registry import dataset_fingerprint
 
         request = item.request
-        start = self._gang_start(workers, request, clock, commit=True)
         cluster = self._gang_cluster(workers, request,
                                      constrained=constrained, clock=clock)
         dataset = request.resolve_graph()
@@ -1478,7 +1226,7 @@ class InferenceService:
         if tr.enabled:
             # Anchor the cluster/tuner/cache events of this job at its
             # service start on the simulated clock.
-            tr.set_time(start)
+            tr.set_time(clock)
         wall_started = time.perf_counter()
         report = simulate_multichip_gcn(
             dataset, cluster, a_hops=request.a_hops, cache=self.cache,
@@ -1488,7 +1236,7 @@ class InferenceService:
         service_seconds = cluster.chip.cycles_to_seconds(
             report.total_cycles
         )
-        finish = start + service_seconds
+        finish = clock + service_seconds
         primary = workers[0]
         # Every gang member served the request and was busy for the
         # whole sharded run: the request and batch counts go to each
@@ -1515,7 +1263,7 @@ class InferenceService:
             batch=-1,
             sim_seconds=elapsed,
             arrival_time=request.arrival_time,
-            start_time=start,
+            start_time=clock,
             finish_time=finish,
             slo_ms=request.slo_ms,
             n_shards=len(workers),
@@ -1546,7 +1294,7 @@ class InferenceService:
             cum = report.migration_cycles
             for layer_cost in report.layer_cycles[:-1]:
                 cum += layer_cost
-                boundaries.append(start + secs(cum))
+                boundaries.append(clock + secs(cum))
             flows = None
             if cluster.n_chips > 1:
                 halo = halo_exchange(dataset.adjacency, report.plan)
@@ -1566,33 +1314,11 @@ class InferenceService:
         results.append((item.seq, result))
 
     def _serve_batch(self, batch, worker, clock, stream, results):
-        """Run one sealed batch back-to-back on one instance.
-
-        With ``shed_expired``, members whose deadline passed while the
-        sealed batch queued for an instance are shed at service start —
-        the second admission-control point, complementing the
-        batch-cut-time check inside the scheduler. An entirely expired
-        batch releases the instance untouched (no reconfiguration is
-        charged, no batch is counted).
-        """
-        base_start = max(clock, worker.free_at)
-        items = batch.items
-        if self.shed_expired:
-            live = []
-            for item in items:
-                if item.deadline < base_start:
-                    results.append((item.seq,
-                                    self._shed_result(item, base_start)))
-                else:
-                    live.append(item)
-            items = tuple(live)
-            if not items:
-                return
-        key = (batch.config, items[0].request.a_hops)
-        start = self._reconfigure(worker, key, batch.config, base_start)
+        """Run one sealed batch back-to-back on one instance."""
+        start = max(clock, worker.free_at)
         now = start
         wall_started = time.perf_counter()
-        for item in items:
+        for item in batch.items:
             result = self._serve_one(item, batch, worker, now)
             now = result.finish_time
             stream.observe(item.request.config, item.request.a_hops,
@@ -1606,22 +1332,14 @@ class InferenceService:
                              args={"batch": batch.index})
             self.tracer.span(
                 "batch", lane=f"worker{worker.index}",
-                start=base_start, end=now,
+                start=start, end=now,
                 args={
                     "batch": batch.index,
-                    "size": len(items),
+                    "size": len(batch),
                     "config": config_label(batch.config),
-                    "reconfig_s": start - base_start,
                 },
             )
-        # Charged from base_start, not start: the reconfiguration
-        # interval keeps the instance occupied, so excluding it made
-        # utilization denominators disagree with wall-clock occupancy
-        # whenever reconfig_cycles > 0. One consistent definition:
-        # modeled busy time runs from the moment the instance is
-        # claimed (including any reconfiguration) to batch finish —
-        # exactly what the sharded path charges via finish - clock.
-        worker.modeled_busy_seconds += now - base_start
+        worker.modeled_busy_seconds += now - start
         worker.batches_served += 1
         self._n_batches += 1
 
@@ -1715,29 +1433,21 @@ class InferenceService:
         return req_span, svc_span, complete_ev
 
     def _stats(self, results, n_batches, wall, n_evictions=0):
-        """Fold per-request results into :class:`ServiceStats`.
-
-        Cache, cycle and utilization aggregates cover *served* requests
-        only — a shed request never reached an instance.
-        """
-        served = [r for r in results if not r.shed]
-        n_shed = len(results) - len(served)
-        n_sharded = sum(1 for r in served if r.n_shards > 1)
-        hits = sum(1 for r in served if r.cache_hit)
-        utils = [r.utilization for r in served]
+        """Fold per-request results into :class:`ServiceStats`."""
+        hits = sum(1 for r in results if r.cache_hit)
+        utils = [r.utilization for r in results]
         return ServiceStats(
             n_requests=len(results),
             n_batches=n_batches,
             cache_hits=hits,
-            cache_misses=len(served) - hits,
+            cache_misses=len(results) - hits,
             wall_seconds=wall,
-            total_cycles=sum(r.total_cycles for r in served),
+            total_cycles=sum(r.total_cycles for r in results),
             mean_utilization=sum(utils) / len(utils) if utils else 0.0,
             makespan_seconds=max(
-                (r.finish_time for r in served), default=0.0
+                (r.finish_time for r in results), default=0.0
             ),
-            n_shed=n_shed,
-            n_sharded=n_sharded,
+            n_sharded=sum(1 for r in results if r.n_shards > 1),
             n_backfilled=self._drain_backfills,
             n_preemptions=self._drain_preemptions,
             n_evictions=n_evictions,

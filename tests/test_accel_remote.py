@@ -123,31 +123,6 @@ class TestTrackedTuple:
         assert slot.key == (3, 7)
 
 
-class TestTuningOutcome:
-    def test_converged_outcome_snapshot(self, rng):
-        row_nnz = rng.integers(0, 40, size=64)
-        tuner, assignment = run_tuner(row_nnz, 8)
-        outcome = tuner.outcome()
-        assert outcome.converged
-        assert outcome.converged_round == tuner.converged_round
-        assert outcome.rounds_observed == tuner.round_index
-        assert np.array_equal(outcome.owner, assignment.snapshot())
-        # Warm-up trace covers exactly the pre-freeze rounds.
-        assert len(outcome.warmup_makespans) == outcome.converged_round
-        assert list(outcome.warmup_makespans) == (
-            tuner.makespan_history[:outcome.converged_round]
-        )
-
-    def test_unconverged_outcome_keeps_every_round(self, rng):
-        row_nnz = rng.integers(0, 40, size=64)
-        tuner, _assignment = run_tuner(row_nnz, 8, max_rounds=2)
-        if tuner.converged:
-            pytest.skip("converged too fast to exercise the branch")
-        outcome = tuner.outcome()
-        assert not outcome.converged
-        assert len(outcome.warmup_makespans) == tuner.round_index
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(st.integers(0, 30), min_size=8, max_size=60),

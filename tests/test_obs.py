@@ -216,8 +216,11 @@ class TestViews:
 
 class TestPercentileAndStats:
     def test_p999_is_nearest_rank(self):
-        values = list(range(1, 1001))
-        # Nearest-rank: always an observed value, between p99 and max.
+        # Nearest-rank: the ceil(0.999 * n)-th smallest value, computed
+        # exactly (in floats 99.9 / 100 * 1000 rounds up past 999).
+        assert percentile(list(range(1, 1001)), 99.9) == 999
+        assert percentile(list(range(1, 2001)), 99.9) == 1998
+        values = list(range(1, 1501))
         p999 = percentile(values, 99.9)
         assert p999 in values
         assert percentile(values, 99) <= p999 <= max(values)
@@ -305,7 +308,7 @@ class TestSpanTrees:
                 if e.name == "request.complete"}
         assert done[seq].args["preemptions"] == 1
         # The patched completion instant sits at the span-tree finish
-        # (results come back in arrival-sequence order, nothing shed).
+        # (results come back in arrival-sequence order).
         result = outcome.results[seq]
         assert done[seq].ts == result.finish_time
         req_span = next(e for e in tracer.events

@@ -121,7 +121,7 @@ class TestOffModeOracle:
         requests = streaming_traffic(
             12, arrival_rate=rate, slo_ms=8.0, seed=seed, **TRAFFIC_KW
         )
-        _assert_oracle_identity(requests, n_workers=2, shed_expired=True)
+        _assert_oracle_identity(requests, n_workers=2)
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 1000))
@@ -174,7 +174,7 @@ def _worker_busy_bounded(outcome):
 def _served_nodes(outcome):
     return sorted(
         (r.request_id, r.total_cycles, r.n_shards)
-        for r in outcome.results if not r.shed
+        for r in outcome.results
     )
 
 

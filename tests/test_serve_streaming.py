@@ -128,12 +128,6 @@ class TestStreamingSchedulerCuts:
         # tightest deadline: 1.0s - 2 * 0.1s.
         assert stream.next_cut_time() == pytest.approx(0.8)
 
-    def test_max_wait_bounds_slo_less_requests(self):
-        stream = StreamingScheduler(max_wait=0.25)
-        item = _queued([_request(arrival=1.0)])[0]
-        stream.admit(item)
-        assert stream.next_cut_time() == pytest.approx(1.25)
-
     def test_no_deadline_no_timeout_never_cuts(self):
         stream = StreamingScheduler()
         stream.admit(_queued([_request(arrival=0.0)])[0])
@@ -176,10 +170,6 @@ class TestStreamingSchedulerCuts:
     def test_rejects_bad_knobs(self):
         with pytest.raises(ConfigError):
             StreamingScheduler(max_batch=0)
-        with pytest.raises(ConfigError):
-            StreamingScheduler(max_wait=-0.5)
-        with pytest.raises(ConfigError):
-            StreamingScheduler(max_wait="soon")
         with pytest.raises(ConfigError):
             StreamingScheduler().admit("not queued")
 
@@ -311,19 +301,6 @@ class TestStreamingService:
         assert outcome.latency.slo_met == 0
         assert outcome.latency.slo_attainment == 0.0
 
-    def test_max_wait_cuts_earlier_than_flush(self):
-        # SLO-less requests trickling in: without max_wait the single
-        # config group only flushes once the stream ends, so the first
-        # request waits for the last arrival; with a small max_wait its
-        # batch is sealed (and served) long before that.
-        requests = [
-            _request(CFG_A, arrival=0.1 * i) for i in range(6)
-        ]
-        lazy = self._serve(list(requests), n_workers=1)
-        eager = self._serve(list(requests), n_workers=1, max_wait=0.05)
-        assert eager.results[0].start_time < lazy.results[0].start_time
-        assert eager.stats.n_batches > lazy.stats.n_batches
-
     def test_latency_stats_fold(self):
         outcome = self._serve(
             [_request(CFG_A, slo_ms=10000.0), _request(CFG_A)],
@@ -369,13 +346,6 @@ class TestStreamingService:
         service.submit(_request(CFG_A, arrival=0.5))
         outcome = service.drain()
         assert outcome.results[0].start_time >= 0.5
-
-    def test_service_validates_max_wait_eagerly(self):
-        from repro.serve import InferenceService
-
-        for bad in (-1.0, math.inf, "fast"):
-            with pytest.raises(ConfigError):
-                InferenceService(max_wait=bad)
 
     def test_offline_drain_still_works_through_the_event_loop(self):
         # arrival_time=0 everywhere degenerates to the batch regime.

@@ -15,12 +15,16 @@ schedule beats T*; conversely a water-filling schedule achieves it.
 
 Boundary windows are dominated by prefix/suffix windows (widening a
 clipped window to the edge only adds work without adding receivers), so
-the implementation evaluates: all prefix windows, all suffix windows,
-and all interior windows per length — each fully vectorized, for one
-load vector or a whole batch of them at once
-(:func:`share_window_bounds_batch`). The batched form is what the cycle
-model's auto-tuning phase uses to price several candidate rounds in a
-single kernel call.
+the implementation evaluates all prefix windows and all suffix windows
+exactly, then prices the interior family (``L + 2*hop`` receivers for a
+window of length ``L``) by seed and verify: the seed is the larger edge
+bound or the heaviest singleton window, one O(n) running-min scan checks
+that no interior window beats it, and only the rounds that fail
+binary-search the bound value. The max of the three bounds is exact.
+Everything vectorizes over a batch of load vectors
+(:func:`share_window_bounds_batch`), which is what the cycle model's
+auto-tuning phase uses to price several candidate rounds in a single
+kernel call.
 """
 
 from __future__ import annotations
@@ -28,12 +32,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
-
-# Below this many PEs the interior Hall bound is evaluated as one dense
-# (n x n) vectorized pass instead of a per-length Python loop; the dense
-# path is ~5-10x faster for the PE counts the cycle model sweeps while
-# the loop (with its early-exit) stays better for 1024+ PE arrays.
-_DENSE_WINDOW_LIMIT = 512
 
 
 def share_makespan(loads, hop, *, efficiency=1.0):
@@ -83,7 +81,8 @@ def share_makespan_batch(loads_matrix, hop, *, efficiency=1.0):
 def share_window_bounds(loads, hop):
     """The three families of Hall lower bounds; the max is the makespan.
 
-    Returns ``(interior, prefix, suffix)`` bounds as Python ints. Exposed
+    Returns ``(interior, prefix, suffix)`` bounds as Python ints (see
+    :func:`share_window_bounds_batch` for what each entry holds). Exposed
     separately for the property tests, which cross-check against a
     brute-force evaluation of every window.
     """
@@ -95,11 +94,13 @@ def share_window_bounds(loads, hop):
 def share_window_bounds_batch(loads_matrix, hop):
     """Batched :func:`share_window_bounds` over ``(rounds, n_pes)`` loads.
 
-    Returns three ``int64`` arrays of length ``rounds``. All three
-    bound families vectorize over the round axis; the interior family
-    is evaluated densely for a single narrow row and otherwise by a
-    per-round binary search on the bound value (see the inline comment
-    below), with an active-rounds mask so finished rounds stop paying.
+    Returns three ``int64`` arrays of length ``rounds``: the interior,
+    prefix and suffix bounds. Their rowwise max is the exact makespan.
+    The prefix and suffix entries are exact. The interior entry is
+    exact whenever it binds (exceeds both edge families and every
+    singleton window); otherwise it equals the seed
+    ``max(prefix, suffix, ceil(max_load / (1 + 2*hop)))``, which is
+    then the makespan. Every family vectorizes over the round axis.
     """
     loads = np.asarray(loads_matrix, dtype=np.int64)
     if loads.ndim != 2 or loads.shape[1] == 0:
@@ -123,50 +124,45 @@ def share_window_bounds_batch(loads_matrix, hop):
     suffix_recv = n - np.maximum(j - hop, 0)
     suffix_bound = _ceil_div(suffix_work, suffix_recv).max(axis=1)
 
-    # Interior windows of each length L: receivers = L + 2*hop (no
-    # clipping; clipped windows are dominated by prefix/suffix above).
-    # Dense evaluation is O(n^2) per round — right for one narrow load
-    # vector (few numpy dispatches), wasteful for a batch, where the
-    # O(n log max_load) bound search below wins at every width.
-    if n_rounds == 1 and n <= _DENSE_WINDOW_LIMIT:
-        # One vectorized pass over the (end, start) difference matrix.
-        # The receiver count depends only on the window length, so taking
-        # ceil per window and maxing globally equals the per-length loop.
-        # Inverted (start > end) entries have non-positive sums, hence
-        # non-positive ceilings — they can never win the max.
-        sums = cumsum[:, 1:, None] - cumsum[:, None, :-1]
-        lengths = np.arange(1, n + 1)[:, None] - np.arange(n)[None, :]
-        receivers = np.maximum(np.minimum(lengths + 2 * hop, n), 1)
-        bounds = -(-sums // receivers)
-        interior_bound = np.maximum(bounds.max(axis=(1, 2)), 0)
-        return interior_bound, prefix_bound, suffix_bound
-    # Wide arrays: resolve the interior family by binary search on the
-    # bound value instead of a per-length window sweep. ceil is
-    # monotone, so the family max equals ceil(max W/(L + 2*hop)), and
-    # "is the max > T" linearizes: with D[k] = cumsum[k] - T*k, some
-    # window has W > T*(L + 2*hop) iff max(D[k2] - D[k1]) > 2*hop*T
-    # over k1 < k2 — one running-min pass. O(log max_load) vectorized
-    # scans per round, batched over rounds. Receiver counts are
-    # deliberately NOT clipped at n here: a clipped window is dominated
-    # by the prefix/suffix families (see module docstring), so the
-    # overall makespan is unchanged; only the reported interior
-    # component may sit below the dense path's on windows wider than
-    # n - 2*hop, which can never win the three-way max.
-    lo = np.zeros(n_rounds, dtype=np.int64)
-    hi = np.maximum(loads.max(axis=1), 0)  # bound <= max load always
-    positions = np.arange(n + 1, dtype=np.int64)
-    while True:
+    max_load = np.maximum(loads.max(axis=1), 0)
+    if hop == 0:
+        return max_load, prefix_bound, suffix_bound
+    # Interior windows of length L get L + 2*hop receivers, unclipped at
+    # n: clipped windows are dominated by the edge families. Rows whose
+    # seed survives one scan are done; the rest binary-search
+    # (seed, max_load], as no window can need more than the max load.
+    interior = np.maximum(
+        np.maximum(prefix_bound, suffix_bound),
+        _ceil_div(max_load, 1 + 2 * hop),
+    )
+    failing = np.flatnonzero(_interior_exceeds(cumsum, interior, hop))
+    if failing.size:
+        rows = cumsum[failing]
+        lo = interior[failing] + 1
+        hi = max_load[failing]
         active = np.flatnonzero(lo < hi)
-        if active.size == 0:
-            break
-        mid = (lo[active] + hi[active]) // 2
-        level = cumsum[active] - mid[:, None] * positions
-        runmin = np.minimum.accumulate(level[:, :-1], axis=1)
-        maxdiff = (level[:, 1:] - runmin).max(axis=1)
-        exceeded = maxdiff > 2 * hop * mid
-        lo[active[exceeded]] = mid[exceeded] + 1
-        hi[active[~exceeded]] = mid[~exceeded]
-    return lo, prefix_bound, suffix_bound
+        while active.size:
+            mid = (lo[active] + hi[active]) // 2
+            exceeded = _interior_exceeds(rows[active], mid, hop)
+            lo[active[exceeded]] = mid[exceeded] + 1
+            hi[active[~exceeded]] = mid[~exceeded]
+            active = np.flatnonzero(lo < hi)
+        interior[failing] = lo
+    return interior, prefix_bound, suffix_bound
+
+
+def _interior_exceeds(cumsum, bound, hop):
+    """Per row: does some window have work above ``bound * (L + 2*hop)``?
+
+    ``cumsum`` is ``(rows, n + 1)`` with a leading zero column and
+    ``bound`` holds one candidate value per row. The test linearizes:
+    with ``D[k] = cumsum[k] - bound*k``, a window ``[k1, k2)`` exceeds
+    iff ``D[k2] - D[k1] > 2*hop*bound``, so one running-min pass over
+    ``D`` answers it for every window at once.
+    """
+    level = cumsum - bound[:, None] * np.arange(cumsum.shape[1])
+    runmin = np.minimum.accumulate(level[:, :-1], axis=1)
+    return (level[:, 1:] - runmin).max(axis=1) > 2 * hop * bound
 
 
 def share_effective_loads(loads, hop, *, cap=None):

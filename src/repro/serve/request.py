@@ -153,9 +153,13 @@ class InferenceRequest:
         return int(nodes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InferenceResult:
-    """The service's answer to one :class:`InferenceRequest`."""
+    """The service's answer to one :class:`InferenceRequest`.
+
+    Slotted: a drain keeps one result per request, so the per-instance
+    ``__dict__`` would dominate what a long-lived outcome holds.
+    """
 
     request_id: object
     dataset: str

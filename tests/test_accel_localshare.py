@@ -287,14 +287,8 @@ class TestBatchedKernel:
                 ) == brute_force_bound(matrix[r], hop)
 
 
-class TestWideArrayPath:
-    """The binary-search interior path (n past the dense limit)."""
-
-    @pytest.fixture(autouse=True)
-    def _force_wide_path(self, monkeypatch):
-        monkeypatch.setattr(
-            repro.accel.localshare, "_DENSE_WINDOW_LIMIT", 0
-        )
+class TestSeedAndSearch:
+    """The seed-and-verify interior search against the brute-force oracle."""
 
     def test_makespan_matches_brute_force(self, rng):
         for _ in range(40):
@@ -314,3 +308,116 @@ class TestWideArrayPath:
                 share_effective_loads(loads, hop),
                 _share_effective_loads_reference(loads, hop),
             )
+
+    @pytest.mark.parametrize(
+        "n, hot, hop, single, pair",
+        [
+            (192, 77, 1, 1011, 1509),
+            (192, 77, 2, 607, 1006),
+            (192, 77, 3, 434, 755),
+            (64, 21, 1, 1006, 1509),
+            (64, 21, 2, 604, 1006),
+            (64, 21, 3, 431, 755),
+        ],
+    )
+    def test_pinned_hot_pe_vectors(self, n, hot, hop, single, pair):
+        # The PE counts the serving workloads run. One hot PE is priced
+        # by its singleton window (the seed); two adjacent hot PEs make
+        # the pair window bind, which only the search finds.
+        base = np.random.default_rng(n).integers(0, 40, size=n)
+        one = base.copy()
+        one[hot] += 3000
+        two = one.copy()
+        two[hot + 1] += 3000
+        bounds = share_window_bounds_batch(np.stack([one, two]), hop)
+        makespans = np.maximum.reduce(bounds)
+        assert list(makespans) == [single, pair]
+        assert single == brute_force_bound(one, hop)
+        assert pair == brute_force_bound(two, hop)
+        assert int(bounds[0][1]) == pair  # the interior entry binds
+
+
+@st.composite
+def _hot_batches(draw):
+    """(matrix, hop): 1-6 rows of 1-40 PEs with one hot PE per row."""
+    n = draw(st.integers(1, 40))
+    hop = draw(st.integers(0, 5))
+    rows = draw(st.lists(
+        st.lists(st.integers(0, 60), min_size=n, max_size=n),
+        min_size=1, max_size=6,
+    ))
+    matrix = np.array(rows, dtype=np.int64)
+    for row in matrix:
+        row[draw(st.integers(0, n - 1))] += draw(st.integers(0, 2000))
+    return matrix, hop
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hot_batches())
+def test_property_batch_rows_match_brute_force(case):
+    matrix, hop = case
+    bounds = share_window_bounds_batch(matrix, hop)
+    makespans = np.maximum.reduce(bounds)
+    for r, row in enumerate(matrix):
+        assert int(makespans[r]) == brute_force_bound(row, hop)
+
+
+def test_mixed_batch_searches_only_failing_rows(monkeypatch):
+    # Row 0 is flat (the seed is exact); row 1 has a hot pair whose
+    # window beats every singleton, prefix and suffix (the seed is 34,
+    # the bound 50). Only row 1 may reach the binary search.
+    flat = [5] * 20
+    hot_pair = [0] * 8 + [100, 100] + [0] * 10
+    scanned = _count_scans(monkeypatch)
+    interior, prefix, suffix = share_window_bounds_batch(
+        np.array([flat, hot_pair]), 1
+    )
+    assert list(np.maximum.reduce([interior, prefix, suffix])) == [
+        brute_force_bound(flat, 1), brute_force_bound(hot_pair, 1)
+    ] == [5, 50]
+    assert interior[1] == 50
+    assert scanned[0] == 2  # the verify scan covers the whole batch
+    assert len(scanned) > 1 and set(scanned[1:]) == {1}
+
+
+class TestScanCounter:
+    """Work counters for the interior search (gate on counts, not time)."""
+
+    def test_exact_seed_costs_one_scan(self, monkeypatch):
+        # Flat rows, lone hot PEs and an all-zero row: the singleton,
+        # prefix and suffix windows already price every row.
+        matrix = np.array([
+            [4, 4, 4, 4, 4, 4, 4, 4],
+            [0, 0, 0, 30, 0, 0, 0, 0],
+            [30, 0, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0],
+        ])
+        scanned = _count_scans(monkeypatch)
+        bounds = share_window_bounds_batch(matrix, 1)
+        assert scanned == [4]
+        assert list(np.maximum.reduce(bounds)) == [
+            brute_force_bound(row, 1) for row in matrix
+        ]
+
+    def test_hop_zero_needs_no_scan(self, monkeypatch):
+        scanned = _count_scans(monkeypatch)
+        interior, _, _ = share_window_bounds_batch(
+            np.array([[5, 1, 9, 2], [0, 0, 0, 0]]), 0
+        )
+        assert list(interior) == [9, 0]
+        assert scanned == []
+
+
+def _count_scans(monkeypatch):
+    """Record the row count of every interior scan the kernel runs."""
+    scanned = []
+    scan = repro.accel.localshare._interior_exceeds
+
+    def counting(cumsum, bound, hop):
+        scanned.append(len(cumsum))
+        return scan(cumsum, bound, hop)
+
+    monkeypatch.setattr(
+        repro.accel.localshare, "_interior_exceeds", counting
+    )
+    return scanned

@@ -1,6 +1,7 @@
 """The batched inference service: scheduler, autotune cache, service."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -427,6 +428,13 @@ class TestFingerprints:
         two = GcnAccelerator(tiny_cora, CFG_A, a_hops=2).fingerprint()
         assert one != two
 
+    def test_accelerators_share_one_fingerprint_string(self, tiny_cora):
+        # Results keep the fingerprint; equal workloads must not each
+        # hold their own copy of the digest.
+        first = GcnAccelerator(tiny_cora, CFG_A, a_hops=2).fingerprint()
+        second = GcnAccelerator(tiny_cora, CFG_B, a_hops=2).fingerprint()
+        assert first is second
+
     def test_edges_fingerprint_order_insensitive(self):
         src = np.array([0, 3, 1]); dst = np.array([2, 1, 0])
         fwd = edges_fingerprint(src, dst, 4)
@@ -451,6 +459,11 @@ class TestInferenceService:
         )
         assert outcome.stats.cache_hits == 6
         assert outcome.stats.n_batches == 2
+
+    def test_results_are_slotted_and_picklable(self):
+        result = serve_requests(_requests("a"), cache=True).results[0]
+        assert not hasattr(result, "__dict__")
+        assert pickle.loads(pickle.dumps(result)) == result
 
     def test_cache_disabled_never_hits(self):
         outcome = serve_requests(_requests("aaaa"), cache=None)
